@@ -75,7 +75,6 @@ from .rules import (
 from .sorting import (
     PlanError,
     SortPlan,
-    SortProblem,
     choose_pass_count,
     max_two_pass_file,
     run_merge_plan,

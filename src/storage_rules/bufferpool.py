@@ -4,13 +4,17 @@ The pool runs LRU or Clock2 underneath and layers the recency-list rule
 on top: the manager remembers every page touched within the last N
 seconds, and when a page is re-read from disk while still on that list
 it is granted an N-second lifetime, i.e. its frame will not be evicted
-for the next N seconds.  Dirty frames are flushed either on eviction
-(contention flush) or by periodic checkpoints (checkpoint flush).
+for the next N seconds (the list plays the role of LRU-K's retained
+information period; O'Neil, O'Neil & Weikum, SIGMOD 1993).  Dirty
+frames are flushed either on eviction (contention flush) or by periodic
+checkpoints (checkpoint flush).
 
 Exact semantics, shared by any reimplementation that wants to agree
 with this one event for event:
 
-* Virtual time is the trace's own timestamps; nothing waits.
+* Virtual time is the trace's own timestamps; nothing waits.  Times
+  must be finite and non-decreasing; a NaN, an infinite or a backwards
+  time raises TraceOrderError.
 * History membership: a page is on the list at time t iff its recorded
   last touch is >= t - N (strictly older entries have lapsed).  The
   membership test uses the state before the current access's touch is
@@ -38,6 +42,8 @@ with this one event for event:
 from __future__ import annotations
 
 import io
+import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -60,7 +66,7 @@ class ConfigError(ValueError):
 
 
 class TraceOrderError(ValueError):
-    """Trace timestamps went backwards."""
+    """Trace timestamps went backwards or were not finite."""
 
 
 class TraceEvent(NamedTuple):
@@ -77,12 +83,12 @@ class PoolConfig:
     checkpoint_interval_s: float | None = None  # None disables checkpoints
 
     def __post_init__(self):
-        if not isinstance(self.frames, int) or self.frames <= 0:
+        if isinstance(self.frames, bool) or not isinstance(self.frames, int) or self.frames <= 0:
             raise ConfigError(f"frames must be a positive integer, got {self.frames!r}")
         if self.base_policy not in ("lru", "clock2"):
             raise ConfigError(f"base_policy must be lru or clock2, got {self.base_policy!r}")
-        if self.n_minute_s < 0:
-            raise ConfigError(f"n_minute_s must be >= 0, got {self.n_minute_s}")
+        if not 0 <= self.n_minute_s < math.inf:  # also false for NaN
+            raise ConfigError(f"n_minute_s must be finite and >= 0, got {self.n_minute_s}")
         if self.checkpoint_interval_s is not None and not self.checkpoint_interval_s > 0:
             raise ConfigError("checkpoint_interval_s must be > 0 or None")
 
@@ -113,116 +119,32 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     ("evict", time, page, protected_until, was_fallback) tuple per
     eviction, for auditing the protection guarantee.
     """
-    if config.base_policy == "lru":
-        return _run_lru(trace, config, event_log)
-    return _run_clock2(trace, config, event_log)
-
-
-def _report(logical, physical, evictions, contention, checkpoints, fallbacks) -> SimReport:
-    hit_ratio = 1.0 - physical / logical if logical else 0.0
-    return SimReport(logical, physical, evictions, contention, checkpoints,
-                     fallbacks, hit_ratio)
-
-
-def _run_lru(trace, config: PoolConfig, event_log) -> SimReport:
     frames = config.frames
     n_lifetime = config.n_minute_s
     cp = config.checkpoint_interval_s
+    lru = config.base_policy == "lru"
 
     history: dict = {}
-    # page -> [protected_until, dirty, first_dirtied]; order == recency
-    pool: OrderedDict = OrderedDict()
-    move_to_end = pool.move_to_end
-    logical = physical = evictions = contention = checkpoints = fallbacks = 0
-    dirty_count = 0
-    cp_k = 1
-    prev_t = None
-
-    for t, page, op in trace:
-        if prev_t is not None and t < prev_t:
-            raise TraceOrderError(
-                f"trace is not time-ordered: {t} after {prev_t}")
-        prev_t = t
-
-        if cp is not None:
-            boundary = cp_k * cp
-            while boundary <= t:
-                if dirty_count:
-                    cutoff = boundary - cp
-                    for st in pool.values():
-                        if st[1] and st[2] < cutoff:
-                            st[1] = False
-                            checkpoints += 1
-                            dirty_count -= 1
-                cp_k += 1
-                boundary = cp_k * cp
-
-        logical += 1
-        st = pool.get(page)
-        if st is not None:
-            move_to_end(page)
-            if op == "write" and not st[1]:
-                st[1] = True
-                st[2] = t
-                dirty_count += 1
-        else:
-            physical += 1
-            last = history.get(page)
-            protected = t + n_lifetime if (last is not None and last >= t - n_lifetime) else t
-            if len(pool) >= frames:
-                victim = None
-                for p, vst in pool.items():
-                    if vst[0] <= t:
-                        victim = p
-                        break
-                if victim is None:
-                    victim = next(iter(pool))
-                    fallbacks += 1
-                    was_fallback = True
-                else:
-                    was_fallback = False
-                vst = pool.pop(victim)
-                evictions += 1
-                if vst[1]:
-                    contention += 1
-                    dirty_count -= 1
-                if event_log is not None:
-                    event_log.append(("evict", t, victim, vst[0], was_fallback))
-            if op == "write":
-                pool[page] = [protected, True, t]
-                dirty_count += 1
-            else:
-                pool[page] = [protected, False, 0.0]
-        history[page] = t
-
-    if cp is not None and dirty_count:
-        checkpoints += dirty_count  # final checkpoint cleans everything
-    return _report(logical, physical, evictions, contention, checkpoints, fallbacks)
-
-
-def _run_clock2(trace, config: PoolConfig, event_log) -> SimReport:
-    frames = config.frames
-    n_lifetime = config.n_minute_s
-    cp = config.checkpoint_interval_s
-
-    history: dict = {}
-    slot_of: dict = {}
+    # page -> slot; under LRU the order is recency, least recent first
+    slot_of = OrderedDict() if lru else {}
+    move_to_end = slot_of.move_to_end if lru else None
     slot_page = [None] * frames
-    ref = bytearray(frames)
     protected = [0.0] * frames
     dirty = bytearray(frames)
     first_dirt = [0.0] * frames
-    hand = 0
-    used = 0
+    ref = bytearray(frames)  # Clock2 reference bits
+    hand = used = 0
     logical = physical = evictions = contention = checkpoints = fallbacks = 0
     dirty_count = 0
     cp_k = 1
-    prev_t = None
+    inf = math.inf
+    prev_t = -sys.float_info.max  # below every finite time, above -inf
 
     for t, page, op in trace:
-        if prev_t is not None and t < prev_t:
-            raise TraceOrderError(
-                f"trace is not time-ordered: {t} after {prev_t}")
+        if not prev_t <= t < inf:  # also false for NaN
+            if math.isfinite(t):
+                raise TraceOrderError(f"trace is not time-ordered: {t} after {prev_t}")
+            raise TraceOrderError(f"trace times must be finite, got {t}")
         prev_t = t
 
         if cp is not None:
@@ -241,7 +163,10 @@ def _run_clock2(trace, config: PoolConfig, event_log) -> SimReport:
         logical += 1
         i = slot_of.get(page)
         if i is not None:
-            ref[i] = 1
+            if lru:
+                move_to_end(page)
+            else:
+                ref[i] = 1
             if op == "write" and not dirty[i]:
                 dirty[i] = 1
                 first_dirt[i] = t
@@ -254,30 +179,39 @@ def _run_clock2(trace, config: PoolConfig, event_log) -> SimReport:
                 i = used
                 used += 1
             else:
-                # Two rounds over eligible frames: the first clears
-                # reference bits, the second must hit an unreferenced one.
-                i = hand
-                remaining = 2 * frames
                 was_fallback = False
-                while remaining:
-                    if protected[i] <= t:
-                        if ref[i]:
-                            ref[i] = 0
-                        else:
+                if lru:
+                    for i in slot_of.values():
+                        if protected[i] <= t:
                             break
-                    i = i + 1 if i + 1 < frames else 0
-                    remaining -= 1
+                    else:
+                        i = next(iter(slot_of.values()))
+                        was_fallback = True
                 else:
-                    # every frame is protected: sweep again, ignoring protection
-                    was_fallback = True
-                    fallbacks += 1
-                    while ref[i]:
-                        ref[i] = 0
+                    # Two rounds over eligible frames: the first clears
+                    # reference bits, the second must hit an unreferenced one.
+                    i = hand
+                    remaining = 2 * frames
+                    while remaining:
+                        if protected[i] <= t:
+                            if ref[i]:
+                                ref[i] = 0
+                            else:
+                                break
                         i = i + 1 if i + 1 < frames else 0
-                hand = i + 1 if i + 1 < frames else 0
+                        remaining -= 1
+                    else:
+                        # every frame is protected: sweep again, ignoring protection
+                        was_fallback = True
+                        while ref[i]:
+                            ref[i] = 0
+                            i = i + 1 if i + 1 < frames else 0
+                    hand = i + 1 if i + 1 < frames else 0
                 old = slot_page[i]
                 del slot_of[old]
                 evictions += 1
+                if was_fallback:
+                    fallbacks += 1
                 if dirty[i]:
                     contention += 1
                     dirty_count -= 1
@@ -296,8 +230,10 @@ def _run_clock2(trace, config: PoolConfig, event_log) -> SimReport:
         history[page] = t
 
     if cp is not None and dirty_count:
-        checkpoints += dirty_count
-    return _report(logical, physical, evictions, contention, checkpoints, fallbacks)
+        checkpoints += dirty_count  # final checkpoint cleans everything
+    hit_ratio = 1.0 - physical / logical if logical else 0.0
+    return SimReport(logical, physical, evictions, contention, checkpoints,
+                     fallbacks, hit_ratio)
 
 
 def recommended_n(tp: TechnologyParams, ep: EconomicParams) -> float:

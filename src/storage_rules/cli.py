@@ -67,9 +67,7 @@ def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
             raise _CliArgError(str(unknown)) from None
     try:
         catalog = devices.load_device_file(spec_arg)
-    except devices.DeviceFileError as err:
-        raise _CliDataError(f"{spec_arg}: {err}") from None
-    except ValueError as err:
+    except ValueError as err:  # DeviceFileError included
         raise _CliDataError(f"{spec_arg}: {err}") from None
     if not catalog:
         raise _CliDataError(f"{spec_arg}: device file is empty")
@@ -356,6 +354,8 @@ def _cmd_indexsize(args, out) -> int:
 
 _METRIC_FIELDS = ["kaps", "maps", "scan_s", "dollars_per_kaps",
                   "dollars_per_maps", "dollars_per_tbscan"]
+_TAPE_TBSCAN_NOTE = ("note: the published tape $/TBscan is 296 $, about 14x the "
+                     "rent-formula value shown; no stated parameters reproduce it.\n")
 
 
 def _cmd_metrics(args, out) -> int:
@@ -371,8 +371,7 @@ def _cmd_metrics(args, out) -> int:
         for field in _METRIC_FIELDS:
             cells = "".join(f"{sig6(getattr(r, field)):>18}" for r in reports)
             out.write(f"{field:>20}{cells}\n")
-        out.write("note: the published tape $/TBscan is 296 $, about 14x the "
-                  "rent-formula value shown; no stated parameters reproduce it.\n")
+        out.write(_TAPE_TBSCAN_NOTE)
         return 0
     if args.device is None:
         raise _CliArgError("need --device or --table8")
@@ -385,8 +384,7 @@ def _cmd_metrics(args, out) -> int:
         for field in _METRIC_FIELDS:
             out.write(f"{field:>18} : {sig6(getattr(report, field))}\n")
         if dev.kind == "tape_robot":
-            out.write("note: the published tape $/TBscan is 296 $, about 14x the "
-                      "rent-formula value shown; no stated parameters reproduce it.\n")
+            out.write(_TAPE_TBSCAN_NOTE)
     return 0
 
 
@@ -596,19 +594,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except _CliArgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (devices.UnknownPresetError, bufferpool.ConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (devices.DeviceFileError, bufferpool.TraceOrderError) as err:
+    # data errors first: DeviceFileError and TraceOrderError are ValueErrors
+    except (_CliDataError, devices.DeviceFileError, bufferpool.TraceOrderError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except _CliDataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
+    except (_CliArgError, ValueError) as err:  # ConfigError, UnknownPresetError, ...
         print(f"error: {err}", file=sys.stderr)
         return 2
 

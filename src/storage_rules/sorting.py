@@ -32,21 +32,6 @@ class PlanError(ValueError):
 
 
 @dataclass(frozen=True)
-class SortProblem:
-    file_bytes: float
-    buffer_bytes: float
-    memory_bytes: float | None = None
-
-    def __post_init__(self):
-        if self.file_bytes < 0:
-            raise ValueError("file_bytes must be >= 0")
-        if not self.buffer_bytes > 0:
-            raise ValueError("buffer_bytes must be > 0")
-        if self.memory_bytes is not None and not self.memory_bytes > 0:
-            raise ValueError("memory_bytes must be > 0 when given")
-
-
-@dataclass(frozen=True)
 class SortPlan:
     passes: int                  # 1 or 2
     memory_required_bytes: float  # rule-of-thumb memory, not the bare minimum

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_sim import brute_force_simulate, plain_base_policy, random_trace
 from storage_rules import bufferpool, rules
@@ -58,10 +59,19 @@ def test_protection_forces_fallback():
 
 
 def test_unordered_trace_rejected():
-    bad = [TraceEvent(5, "A", "read"), TraceEvent(1, "B", "read")]
+    nan, inf = math.nan, math.inf
+    bad_traces = [
+        [TraceEvent(5, "A", "read"), TraceEvent(1, "B", "read")],
+        [TraceEvent(nan, "A", "read"), TraceEvent(0, "B", "read")],
+        [TraceEvent(0, "A", "read"), TraceEvent(inf, "B", "read")],
+        [TraceEvent(-inf, "A", "read"), TraceEvent(0, "B", "read")],
+    ]
     for policy in ("lru", "clock2"):
-        with pytest.raises(TraceOrderError):
-            simulate(bad, PoolConfig(frames=2, base_policy=policy))
+        for bad in bad_traces:
+            for cp in (None, 5.0):
+                with pytest.raises(TraceOrderError):
+                    simulate(bad, PoolConfig(frames=2, base_policy=policy,
+                                             checkpoint_interval_s=cp))
 
 
 def test_config_validation():
@@ -70,7 +80,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PoolConfig(frames=2, base_policy="fifo")
     with pytest.raises(ConfigError):
+        PoolConfig(frames=True)
+    with pytest.raises(ConfigError):
         PoolConfig(frames=2, n_minute_s=-1)
+    for n in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            PoolConfig(frames=2, n_minute_s=n)
     with pytest.raises(ConfigError):
         PoolConfig(frames=2, checkpoint_interval_s=0)
 
@@ -244,6 +259,31 @@ def test_matches_brute_force_smoke():
             want = brute_force_simulate(trace, frames, policy, n, cp)
             assert got == want, (policy, frames, n, cp)
             assert got.physical_reads <= got.logical_accesses
+
+
+_CP = 5.0
+
+
+# 1 and "1" are distinct pages; a zero step repeats the previous time and
+# the longest step crosses 20 checkpoint boundaries
+@settings(deadline=None)
+@given(steps=st.lists(st.tuples(
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20 * _CP)),
+           st.one_of(st.integers(1, 4), st.integers(1, 4).map(str)),
+           st.sampled_from(["read", "write"])), max_size=60),
+       frames=st.integers(1, 4),
+       n=st.sampled_from([0.0, 3.0, 2 * _CP, 1000.0]))
+def test_mixed_page_ids_and_gaps_match_brute_force(steps, frames, n):
+    trace = []
+    t = 0.0
+    for step, page, op in steps:
+        t += step
+        trace.append(TraceEvent(t, page, op))
+    for policy in ("lru", "clock2"):
+        for cp in (None, _CP):
+            got = simulate(trace, PoolConfig(frames=frames, base_policy=policy,
+                                             n_minute_s=n, checkpoint_interval_s=cp))
+            assert got == brute_force_simulate(trace, frames, policy, n, cp), (policy, cp)
 
 
 def test_single_frame_misses_everything_iff_no_consecutive_repeats():

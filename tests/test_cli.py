@@ -243,6 +243,10 @@ def test_simulate_input_errors_exit_3(tmp_path):
     assert run("simulate", "--trace", str(garbled), "--frames", "2")[0] == 3
     assert run("simulate", "--trace", str(tmp_path / "missing.csv"),
                "--frames", "2")[0] == 3
+    endless = tmp_path / "inf.csv"
+    endless.write_text("time,page,op\n0,A,w\ninf,B,r\n", encoding="utf-8")
+    assert run("simulate", "--trace", str(endless), "--frames", "2",
+               "--checkpoint", "5")[0] == 3
 
 
 def test_simulate_config_errors_exit_2(tmp_path):
@@ -250,6 +254,8 @@ def test_simulate_config_errors_exit_2(tmp_path):
     trace_path.write_text("time,page,op\n0,A,r\n", encoding="utf-8")
     assert run("simulate", "--trace", str(trace_path), "--frames", "0")[0] == 2
     assert main(["simulate", "--trace", str(trace_path)]) == 2  # --frames required
+    assert run("simulate", "--trace", str(trace_path), "--frames", "2",
+               "--n-seconds", "nan")[0] == 2
 
 
 def test_csv_outputs_are_byte_stable():

@@ -140,13 +140,3 @@ def test_choose_pass_count():
     assert sorting.choose_pass_count(1e12, one_pass_threshold_bytes=2e12) == 1
     with pytest.raises(ValueError):
         sorting.choose_pass_count(1e9, one_pass_threshold_bytes=0)
-
-
-def test_sort_problem_validation():
-    sorting.SortProblem(1e9, 8192)
-    with pytest.raises(ValueError):
-        sorting.SortProblem(-1, 8192)
-    with pytest.raises(ValueError):
-        sorting.SortProblem(1e9, 0)
-    with pytest.raises(ValueError):
-        sorting.SortProblem(1e9, 8192, memory_bytes=0)
