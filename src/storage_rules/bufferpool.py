@@ -29,9 +29,11 @@ with this one event for event:
 * With a checkpoint interval C, every boundary k*C <= t (k = 1, 2, ...)
   is processed, in order, before the event at t: frames first dirtied
   before the previous boundary (k-1)*C are written clean, one checkpoint
-  flush each.  A final checkpoint at end of trace cleans every dirty
-  frame.  A disabled interval disables all checkpoint activity,
-  including the final one.
+  flush each.  Boundaries with nothing dirty flush nothing and are
+  skipped in one step, so a long idle gap costs no time per boundary.
+  A final checkpoint at end of trace cleans every dirty frame.  A
+  disabled interval disables all checkpoint activity, including the
+  final one.
 * Clock2 keeps one reference bit per frame in a fixed ring of slots
   filled in index order; the hand starts at slot 0 and stops just past
   the victim.  Loads and hits set the bit.  The sweep skips ineligible
@@ -47,8 +49,6 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .rules import EconomicParams, TechnologyParams, break_even_interval
 
@@ -157,6 +157,9 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                             dirty[i] = 0
                             checkpoints += 1
                             dirty_count -= 1
+                else:
+                    # nothing dirty, so no boundary up to t flushes anything
+                    cp_k = max(cp_k, math.floor(t / cp))
                 cp_k += 1
                 boundary = cp_k * cp
 
@@ -257,7 +260,7 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
         raise ConfigError(f"n_pages must be > 0, got {n_pages}")
     if n_ops < 0:
         raise ConfigError(f"n_ops must be >= 0, got {n_ops}")
-    if zipf_s < 0:
+    if not zipf_s >= 0:  # also true for NaN
         raise ConfigError(f"zipf_s must be >= 0, got {zipf_s}")
     if not 0.0 <= write_fraction <= 1.0:
         raise ConfigError(f"write_fraction must be in [0, 1], got {write_fraction}")
@@ -265,6 +268,7 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
         raise ConfigError(f"ops_per_second must be > 0, got {ops_per_second}")
     if n_ops == 0:
         return []
+    import numpy as np  # here, not at module level: analytic commands never need it
 
     # LCG states vectorized: state_k = A^k * seed + (1 + A + ... + A^(k-1)) * C
     n = 2 * n_ops

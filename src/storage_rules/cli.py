@@ -2,12 +2,15 @@
 device metrics, and the buffer-pool simulator.
 
 Exit codes: 0 success, 2 argument/config errors, 3 input-data errors
-(malformed device or trace files).  ``--format csv`` output is
-byte-stable: fixed column order, 6-significant-digit floats, ``\\n``
-line endings (trace files keep full-precision times so replays are
-exact).  Known discrepancies against the published 1997 tabulations are
-pointed out with ``note:`` lines in table output, never silently
-altered.
+(malformed device or trace files).  Each command computes one result,
+``(header, rows, trailer)``, and ``_render`` prints it either as CSV or
+as a table.  ``--format csv`` output is byte-stable: fixed column order,
+6-significant-digit floats, ``\\n`` line endings (trace files keep
+full-precision times so replays are exact).  The table shows the same
+header and rows in right-aligned columns, followed by the trailer:
+summary lines and the ``note:`` lines that point out known
+discrepancies against the published 1997 tabulations, which are never
+silently altered.
 """
 from __future__ import annotations
 
@@ -34,10 +37,26 @@ def sig6(value) -> str:
     return str(value)
 
 
-def _emit_csv(header: str, rows, out) -> None:
-    out.write(header + "\n")
-    for row in rows:
-        out.write(",".join(sig6(cell) for cell in row) + "\n")
+def _render(result, fmt: str, out) -> None:
+    """Print a command's (header, rows, trailer) as CSV or as a table.
+
+    CSV is the header and one comma-joined line per row; the trailer is
+    table-only.  The table right-aligns every cell in a column as wide
+    as its widest cell, so splitting a line on whitespace gives back the
+    CSV cells, minus empty ones.
+    """
+    header, rows, trailer = result
+    if fmt == "csv":
+        out.write(header + "\n")
+        for row in rows:
+            out.write(",".join(sig6(cell) for cell in row) + "\n")
+        return
+    lines = [header.split(",")] + [[sig6(cell) for cell in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for cells in lines:
+        out.write("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip() + "\n")
+    for line in trailer:
+        out.write(line + "\n")
 
 
 def _humanize_seconds(seconds: float) -> str:
@@ -48,6 +67,10 @@ def _humanize_seconds(seconds: float) -> str:
     if seconds >= 120:
         return f"{seconds / 60:.1f} minutes"
     return f"{seconds:.1f} seconds"
+
+
+def _break_even_line(seconds: float) -> str:
+    return f"break-even: {sig6(seconds)} s ({_humanize_seconds(seconds)})"
 
 
 class _CliDataError(Exception):
@@ -124,31 +147,24 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
     return tp, ep, None
 
 
-def _cmd_breakeven(args, out) -> int:
+def _cmd_breakeven(args):
     tp, ep, kind = _breakeven_params(args)
     if args.raid != "none":
         adj = rules.raid_adjustment(f"raid{args.raid}", args.raid_read_mult,
                                     args.raid_write_mult)
         tp = rules.apply_raid(tp, adj, args.write_fraction)
     result = rules.break_even_interval(tp, ep)
-    if args.format == "csv":
-        _emit_csv("technology_ratio,economic_ratio,interval_s",
-                  [(result.technology_ratio, result.economic_ratio, result.interval_s)],
-                  out)
-        return 0
-    out.write(f"technology ratio : {sig6(result.technology_ratio)}\n")
-    out.write(f"economic ratio   : {sig6(result.economic_ratio)}\n")
-    out.write(f"break-even       : {sig6(result.interval_s)} s "
-              f"({_humanize_seconds(result.interval_s)})\n")
+    trailer = [_break_even_line(result.interval_s)]
     if kind == "tape_robot":
-        out.write("note: the published rule of thumb rounds the 8 KB tape-block "
-                  "interval up to about two months; the formula value is shown.\n")
-    return 0
+        trailer.append("note: the published rule of thumb rounds the 8 KB tape-block "
+                       "interval up to about two months; the formula value is shown.")
+    return ("technology_ratio,economic_ratio,interval_s",
+            [(result.technology_ratio, result.economic_ratio, result.interval_s)], trailer)
 
 
 # --- seqrule ---------------------------------------------------------------
 
-def _cmd_seqrule(args, out) -> int:
+def _cmd_seqrule(args):
     ep = rules.EconomicParams(args.device_price, args.ram_price)
     if args.curve:
         if args.page_sizes:
@@ -162,116 +178,68 @@ def _cmd_seqrule(args, out) -> int:
         series = rules.reference_interval_vs_page_size(
             args.latency_s, args.bandwidth_bps, ep, sizes)
         limit = rules.asymptotic_sequential_interval(args.bandwidth_bps, ep)
-        if args.format == "csv":
-            _emit_csv("page_bytes,interval_s", series, out)
-            return 0
-        out.write(f"{'page_bytes':>12}  {'interval_s':>12}\n")
-        for size, interval in series:
-            out.write(f"{sig6(size):>12}  {sig6(interval):>12}\n")
-        out.write(f"asymptote: {sig6(limit)} s\n")
-        out.write("note: the published curve labels the 1997 disk asymptote "
-                  "about 40 s; the formula gives the value above for these "
-                  "parameters.\n")
-        return 0
+        return ("page_bytes,interval_s", series,
+                [f"asymptote: {sig6(limit)} s",
+                 "note: the published curve labels the 1997 disk asymptote "
+                 "about 40 s; the formula gives the value above for these "
+                 "parameters."])
     if args.asymptote:
         interval = rules.asymptotic_sequential_interval(args.bandwidth_bps, ep)
-        if args.format == "csv":
-            _emit_csv("bandwidth_bps,interval_s", [(args.bandwidth_bps, interval)], out)
-        else:
-            out.write(f"asymptotic break-even: {sig6(interval)} s\n")
-        return 0
+        return "bandwidth_bps,interval_s", [(args.bandwidth_bps, interval)], []
     if args.transfer_bytes is None:
         raise _CliArgError("need --transfer-bytes (or --curve / --asymptote)")
     sp = rules.SequentialParams(args.transfer_bytes, args.bandwidth_bps)
     interval = rules.sequential_break_even(sp, ep, args.passes)
-    if args.format == "csv":
-        _emit_csv("transfer_bytes,bandwidth_bps,passes,interval_s",
-                  [(args.transfer_bytes, args.bandwidth_bps, args.passes, interval)], out)
-    else:
-        out.write(f"sequential break-even ({args.passes}): {sig6(interval)} s "
-                  f"({_humanize_seconds(interval)})\n")
-    return 0
+    return ("transfer_bytes,bandwidth_bps,passes,interval_s",
+            [(args.transfer_bytes, args.bandwidth_bps, args.passes, interval)],
+            [_break_even_line(interval)])
 
 
 # --- sortplan --------------------------------------------------------------
 
-def _cmd_sortplan(args, out) -> int:
+def _cmd_sortplan(args):
     buffer_bytes = args.buffer_bytes
     if args.max_file:
         if args.memory_bytes is None:
             raise _CliArgError("--max-file needs --memory-bytes")
         largest = sorting.max_two_pass_file(args.memory_bytes, buffer_bytes,
                                             args.c_buf, args.c_sqrt)
-        if args.format == "csv":
-            _emit_csv("memory_bytes,buffer_bytes,max_file_bytes",
-                      [(args.memory_bytes, buffer_bytes, largest)], out)
-        else:
-            out.write(f"largest two-pass file: {sig6(largest)} bytes\n")
-        return 0
+        return ("memory_bytes,buffer_bytes,max_file_bytes",
+                [(args.memory_bytes, buffer_bytes, largest)], [])
     if args.file_bytes is None:
         raise _CliArgError("need --file-bytes (or --max-file)")
     memory_needed = sorting.two_pass_memory(args.file_bytes, buffer_bytes,
                                             args.c_buf, args.c_sqrt)
     recommended = sorting.choose_pass_count(args.file_bytes, args.one_pass_threshold)
     if args.memory_bytes is None:
-        if args.format == "csv":
-            _emit_csv("file_bytes,buffer_bytes,two_pass_memory_bytes,recommended_passes",
-                      [(args.file_bytes, buffer_bytes, memory_needed, recommended)], out)
-        else:
-            out.write(f"two-pass memory    : {sig6(memory_needed)} bytes\n")
-            out.write(f"recommended passes : {recommended}\n")
-        return 0
+        return ("file_bytes,buffer_bytes,two_pass_memory_bytes,recommended_passes",
+                [(args.file_bytes, buffer_bytes, memory_needed, recommended)], [])
     try:
         plan = sorting.run_merge_plan(args.file_bytes, args.memory_bytes, buffer_bytes)
-        feasible = True
-        passes, run_count, fan_in = plan.passes, plan.run_count, plan.fan_in
-        message = None
+        plan_cells, trailer = (plan.passes, plan.run_count, plan.fan_in, True), []
     except sorting.PlanError as err:
-        feasible = False
-        passes = 2
-        run_count = sorting._ceil_div(args.file_bytes, args.memory_bytes)
-        fan_in = int(args.memory_bytes // buffer_bytes)
-        message = str(err)
-    if args.format == "csv":
-        _emit_csv("file_bytes,buffer_bytes,memory_bytes,two_pass_memory_bytes,"
-                  "passes,run_count,fan_in,feasible",
-                  [(args.file_bytes, buffer_bytes, args.memory_bytes, memory_needed,
-                    passes, run_count, fan_in, feasible)], out)
-        return 0
-    if feasible:
-        out.write(f"passes   : {passes}\n")
-        out.write(f"runs     : {run_count}\n")
-        out.write(f"fan-in   : {fan_in}\n")
-        out.write(f"two-pass memory rule of thumb: {sig6(memory_needed)} bytes\n")
-    else:
-        out.write(f"infeasible: {message}\n")
-    return 0
+        plan_cells, trailer = (2, err.run_count, err.fan_in, False), [f"infeasible: {err}"]
+    return ("file_bytes,buffer_bytes,memory_bytes,two_pass_memory_bytes,"
+            "passes,run_count,fan_in,feasible",
+            [(args.file_bytes, buffer_bytes, args.memory_bytes, memory_needed, *plan_cells)],
+            trailer)
 
 
 # --- indexsize -------------------------------------------------------------
 
-def _cmd_indexsize(args, out) -> int:
+def _cmd_indexsize(args):
     if args.table6:
         params = indexing.IndexParams(entry_bytes=20, fill_factor=0.7)
         model = indexing.PageCostModel(latency_s=0.01, bandwidth_bps=1e7)
         evals = [indexing.evaluate_page(kb * 1024, params, model) for kb in TABLE6_PAGE_KB]
-        if args.format == "csv":
-            _emit_csv("page_kb,entries_per_page,utility,access_cost_ms,benefit_cost",
-                      [(kb, ev.entries_per_page, ev.utility, ev.access_cost_s * 1e3,
-                        ev.benefit_cost) for kb, ev in zip(TABLE6_PAGE_KB, evals)],
-                      out)
-            return 0
-        out.write(f"{'page KB':>8} {'entries':>9} {'utility':>8} "
-                  f"{'cost ms':>8} {'benefit/cost':>13}\n")
-        for kb, ev in zip(TABLE6_PAGE_KB, evals):
-            out.write(f"{kb:>8} {ev.entries_per_page:>9.1f} {ev.utility:>8.1f} "
-                      f"{ev.access_cost_s * 1e3:>8.1f} {ev.benefit_cost:>13.2f}\n")
         best_kb = max(zip(TABLE6_PAGE_KB, evals), key=lambda p: p[1].benefit_cost)[0]
-        out.write(f"optimal page size: {best_kb} KB\n")
-        out.write("note: the published tabulation lists entries/page about 5% "
-                  "lower (68, 135, 270, ...); the per-entry overhead it assumes "
-                  "is not stated.\n")
-        return 0
+        return ("page_kb,entries_per_page,utility,access_cost_ms,benefit_cost",
+                [(kb, ev.entries_per_page, ev.utility, ev.access_cost_s * 1e3,
+                  ev.benefit_cost) for kb, ev in zip(TABLE6_PAGE_KB, evals)],
+                [f"optimal page size: {best_kb} KB",
+                 "note: the published tabulation lists entries/page about 5% "
+                 "lower (68, 135, 270, ...); the per-entry overhead it assumes "
+                 "is not stated."])
     if args.figure7:
         model = indexing.PageCostModel(latency_s=0.01, bandwidth_bps=1e7)
         entry_grid = indexing.evaluate_grid(
@@ -281,31 +249,17 @@ def _cmd_indexsize(args, out) -> int:
             [kb * 1024 for kb in FIGURE7_PAGE_KB], "bandwidth_bps",
             [mbps * 1e6 for mbps in FIGURE7_SPEEDS_MBPS],
             indexing.IndexParams(entry_bytes=16), model)
-        if args.format == "csv":
-            rows = []
-            for entry, row in zip(FIGURE7_ENTRY_BYTES, entry_grid):
-                rows += [("entry_size", f"{entry}B", kb, ev.benefit_cost)
-                         for kb, ev in zip(FIGURE7_PAGE_KB, row)]
-            for mbps, row in zip(FIGURE7_SPEEDS_MBPS, speed_grid):
-                rows += [("disk_speed", f"{mbps}MB/s", kb, ev.benefit_cost)
-                         for kb, ev in zip(FIGURE7_PAGE_KB, row)]
-            _emit_csv("grid,series,page_kb,benefit_cost", rows, out)
-            return 0
-        header = "".join(f"{kb:>9}" for kb in FIGURE7_PAGE_KB)
-        out.write("benefit/cost by entry size (10 ms, 10 MB/s); page KB across:\n")
-        out.write(f"{'':>8}{header}\n")
+        rows = []
         for entry, row in zip(FIGURE7_ENTRY_BYTES, entry_grid):
-            cells = "".join(f"{ev.benefit_cost:>9.4f}" for ev in row)
-            out.write(f"{str(entry) + ' B':>8}{cells}\n")
-        out.write("benefit/cost by disk speed (16 B entries, 10 ms):\n")
-        out.write(f"{'':>8}{header}\n")
+            rows += [("entry_size", f"{entry}B", kb, ev.benefit_cost)
+                     for kb, ev in zip(FIGURE7_PAGE_KB, row)]
         for mbps, row in zip(FIGURE7_SPEEDS_MBPS, speed_grid):
-            cells = "".join(f"{ev.benefit_cost:>9.4f}" for ev in row)
-            out.write(f"{str(mbps) + ' MB':>8}{cells}\n")
-        out.write("note: the published 3 MB/s and 1 MB/s rows imply 11-12 ms "
-                  "latencies and do not match a fixed 10 ms model; rows above "
-                  "use the 10 ms formula.\n")
-        return 0
+            rows += [("disk_speed", f"{mbps}MB/s", kb, ev.benefit_cost)
+                     for kb, ev in zip(FIGURE7_PAGE_KB, row)]
+        return ("grid,series,page_kb,benefit_cost", rows,
+                ["note: the published 3 MB/s and 1 MB/s rows imply 11-12 ms "
+                 "latencies and do not match a fixed 10 ms model; rows above "
+                 "use the 10 ms formula."])
     if args.page_bytes is None and not args.candidates:
         raise _CliArgError("need --page-bytes, --candidates, --table6 or --figure7")
     params = indexing.IndexParams(entry_bytes=args.entry_bytes,
@@ -316,38 +270,19 @@ def _cmd_indexsize(args, out) -> int:
         sizes = _parse_size_list(args.candidates)
         best_size, _ = indexing.optimal_page_size(sizes, params, model)
         evals = [indexing.evaluate_page(s, params, model) for s in sizes]
-        if args.format == "csv":
-            _emit_csv("page_bytes,entries_per_page,utility,access_cost_ms,"
-                      "benefit_cost,optimal",
-                      [(ev.page_bytes, ev.entries_per_page, ev.utility,
-                        ev.access_cost_s * 1e3, ev.benefit_cost,
-                        ev.page_bytes == best_size) for ev in evals], out)
-        else:
-            for ev in evals:
-                star = " *" if ev.page_bytes == best_size else ""
-                out.write(f"{sig6(ev.page_bytes):>10} B  benefit/cost "
-                          f"{ev.benefit_cost:.4f}{star}\n")
-            out.write(f"optimal page size: {sig6(best_size)} bytes\n")
-        return 0
+        return ("page_bytes,entries_per_page,utility,access_cost_ms,benefit_cost,optimal",
+                [(ev.page_bytes, ev.entries_per_page, ev.utility,
+                  ev.access_cost_s * 1e3, ev.benefit_cost,
+                  ev.page_bytes == best_size) for ev in evals],
+                [f"optimal page size: {sig6(best_size)} bytes"])
     ev = indexing.evaluate_page(args.page_bytes, params, model)
-    height = (indexing.index_height(args.n_items, ev.entries_per_page)
-              if args.n_items is not None else None)
-    if args.format == "csv":
-        header = "page_bytes,entries_per_page,utility,access_cost_ms,benefit_cost"
-        row = [ev.page_bytes, ev.entries_per_page, ev.utility,
-               ev.access_cost_s * 1e3, ev.benefit_cost]
-        if height is not None:
-            header += ",height"
-            row.append(height)
-        _emit_csv(header, [row], out)
-    else:
-        out.write(f"entries/page : {sig6(ev.entries_per_page)}\n")
-        out.write(f"utility      : {sig6(ev.utility)}\n")
-        out.write(f"access cost  : {sig6(ev.access_cost_s * 1e3)} ms\n")
-        out.write(f"benefit/cost : {sig6(ev.benefit_cost)}\n")
-        if height is not None:
-            out.write(f"tree height  : {sig6(height)} pages\n")
-    return 0
+    header = "page_bytes,entries_per_page,utility,access_cost_ms,benefit_cost"
+    row = [ev.page_bytes, ev.entries_per_page, ev.utility,
+           ev.access_cost_s * 1e3, ev.benefit_cost]
+    if args.n_items is not None:
+        header += ",height"
+        row.append(indexing.index_height(args.n_items, ev.entries_per_page))
+    return header, [row], []
 
 
 # --- metrics ---------------------------------------------------------------
@@ -355,37 +290,22 @@ def _cmd_indexsize(args, out) -> int:
 _METRIC_FIELDS = ["kaps", "maps", "scan_s", "dollars_per_kaps",
                   "dollars_per_maps", "dollars_per_tbscan"]
 _TAPE_TBSCAN_NOTE = ("note: the published tape $/TBscan is 296 $, about 14x the "
-                     "rent-formula value shown; no stated parameters reproduce it.\n")
+                     "rent-formula value shown; no stated parameters reproduce it.")
 
 
-def _cmd_metrics(args, out) -> int:
+def _cmd_metrics(args):
     rent = metrics.RentModel(depreciation_s=args.years * 365 * 86400)
     if args.table8:
         reports = metrics.table8_reports(rent)
-        if args.format == "csv":
-            rows = [[field] + [getattr(r, field) for r in reports]
-                    for field in _METRIC_FIELDS]
-            _emit_csv("metric," + ",".join(r.device for r in reports), rows, out)
-            return 0
-        out.write(f"{'metric':>20}" + "".join(f"{r.device:>18}" for r in reports) + "\n")
-        for field in _METRIC_FIELDS:
-            cells = "".join(f"{sig6(getattr(r, field)):>18}" for r in reports)
-            out.write(f"{field:>20}{cells}\n")
-        out.write(_TAPE_TBSCAN_NOTE)
-        return 0
+        rows = [[field] + [getattr(r, field) for r in reports] for field in _METRIC_FIELDS]
+        return "metric," + ",".join(r.device for r in reports), rows, [_TAPE_TBSCAN_NOTE]
     if args.device is None:
         raise _CliArgError("need --device or --table8")
     dev = _load_device(args.device, args.device_name)
     report = metrics.metric_report(dev, rent)
-    if args.format == "csv":
-        _emit_csv("device," + ",".join(_METRIC_FIELDS),
-                  [[report.device] + [getattr(report, f) for f in _METRIC_FIELDS]], out)
-    else:
-        for field in _METRIC_FIELDS:
-            out.write(f"{field:>18} : {sig6(getattr(report, field))}\n")
-        if dev.kind == "tape_robot":
-            out.write(_TAPE_TBSCAN_NOTE)
-    return 0
+    return ("device," + ",".join(_METRIC_FIELDS),
+            [[report.device] + [getattr(report, f) for f in _METRIC_FIELDS]],
+            [_TAPE_TBSCAN_NOTE] if dev.kind == "tape_robot" else [])
 
 
 # --- presets ---------------------------------------------------------------
@@ -406,21 +326,15 @@ def _preset_row(dev: devices.DeviceSpec) -> list:
             get("tape_count"), get("tape_capacity_bytes"), get("mount_time_s")]
 
 
-def _cmd_presets(args, out) -> int:
+def _cmd_presets(args):
     rows = [_preset_row(devices.preset(name)) for name in devices.preset_names()]
-    if args.format == "csv":
-        _emit_csv(",".join(_PRESET_COLS), rows, out)
-        return 0
-    for row in rows:
-        pieces = [f"{col}={sig6(val)}" for col, val in zip(_PRESET_COLS[1:], row[1:])
-                  if val != ""]
-        out.write(f"{row[0]:<24} {' '.join(pieces)}\n")
-    return 0
+    return ",".join(_PRESET_COLS), rows, []
 
 
 # --- gen-trace / simulate --------------------------------------------------
 
-def _cmd_gen_trace(args, out) -> int:
+def _gen_trace(args, out) -> None:
+    """Stream the trace CSV; the one command that bypasses _render."""
     trace = bufferpool.generate_trace(args.seed, args.ops, args.pages, args.zipf_s,
                                       args.write_fraction, args.ops_per_second)
     if args.out is None:
@@ -428,10 +342,9 @@ def _cmd_gen_trace(args, out) -> int:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             bufferpool.write_trace_csv(trace, fh)
-    return 0
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args):
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = bufferpool.read_trace_csv(fh)
@@ -448,17 +361,10 @@ def _cmd_simulate(args, out) -> int:
         report = bufferpool.simulate(trace, config)
     except bufferpool.TraceOrderError as err:
         raise _CliDataError(f"{args.trace}: {err}") from None
-    if args.format == "csv":
-        out.write(report.csv())
-        return 0
-    out.write(f"logical accesses   : {report.logical_accesses}\n")
-    out.write(f"physical reads     : {report.physical_reads}\n")
-    out.write(f"hit ratio          : {sig6(report.hit_ratio)}\n")
-    out.write(f"evictions          : {report.evictions}\n")
-    out.write(f"contention flushes : {report.contention_flushes}\n")
-    out.write(f"checkpoint flushes : {report.checkpoint_flushes}\n")
-    out.write(f"fallback evictions : {report.protected_eviction_fallbacks}\n")
-    return 0
+    return (bufferpool.REPORT_HEADER,
+            [(report.logical_accesses, report.physical_reads, report.hit_ratio,
+              report.evictions, report.contention_flushes, report.checkpoint_flushes,
+              report.protected_eviction_fallbacks)], [])
 
 
 # --- parser ----------------------------------------------------------------
@@ -569,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-fraction", type=float, default=0.0)
     p.add_argument("--ops-per-second", type=float, default=1.0)
     p.add_argument("--out", help="write here instead of stdout")
-    p.set_defaults(func=_cmd_gen_trace, format="csv")
 
     p = sub.add_parser("simulate", help="run the buffer-pool simulator on a trace")
     p.add_argument("--trace", required=True)
@@ -593,7 +498,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, out)
+        if args.command == "gen-trace":
+            _gen_trace(args, out)
+        else:
+            _render(args.func(args), args.format, out)
+        return 0
     # data errors first: DeviceFileError and TraceOrderError are ValueErrors
     except (_CliDataError, devices.DeviceFileError, bufferpool.TraceOrderError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,11 +23,15 @@ DEFAULT_ONE_PASS_THRESHOLD = 5e9  # bytes of file below which one pass wins
 class PlanError(ValueError):
     """A sort plan that cannot be met in two passes.
 
-    Carries the rule-of-thumb memory that would make two passes work.
+    Carries the rule-of-thumb memory that would make two passes work, and
+    the run count and merge fan-in that made this budget fall short.
     """
 
-    def __init__(self, message: str, required_memory_bytes: float):
+    def __init__(self, message: str, required_memory_bytes: float,
+                 run_count: int, fan_in: int):
         self.required_memory_bytes = required_memory_bytes
+        self.run_count = run_count
+        self.fan_in = fan_in
         super().__init__(message)
 
 
@@ -98,7 +102,7 @@ def run_merge_plan(file_bytes, memory_bytes, buffer_bytes) -> SortPlan:
         raise PlanError(
             f"needs more than two passes: {run_count} runs exceed fan-in "
             f"{fan_in}; a two-pass sort wants about {required:.6g} bytes of memory",
-            required_memory_bytes=required)
+            required_memory_bytes=required, run_count=run_count, fan_in=fan_in)
     return SortPlan(passes=2, memory_required_bytes=required,
                     run_count=run_count, fan_in=fan_in)
 

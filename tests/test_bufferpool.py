@@ -145,6 +145,8 @@ def test_generate_trace_empty_and_validation():
     with pytest.raises(ConfigError):
         generate_trace(1, 10, 10, zipf_s=-0.5)
     with pytest.raises(ConfigError):
+        generate_trace(1, 10, 10, zipf_s=float("nan"))
+    with pytest.raises(ConfigError):
         generate_trace(1, 10, 10, write_fraction=1.5)
     with pytest.raises(ConfigError):
         generate_trace(1, 10, 10, ops_per_second=0)

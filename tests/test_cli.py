@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+from storage_rules import bufferpool
 from storage_rules.cli import main
 
 
@@ -16,6 +20,15 @@ def csv_rows(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def run_cold(*argv):
+    """Run ``python <argv>`` in a fresh interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(bufferpool.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=30)
+
+
 def test_breakeven_dell_preset():
     code, out = run("breakeven", "--device", "dell_tpcc_1997", "--format", "csv")
     assert code == 0
@@ -24,6 +37,11 @@ def test_breakeven_dell_preset():
     assert float(tech) == pytest.approx(2.0)
     assert float(econ) == pytest.approx(133.333, abs=0.001)
     assert float(interval) == pytest.approx(266.667, abs=0.001)
+    # the table's summary line, in the form perfbench's cli-analytic check parses
+    code, out = run("breakeven", "--device", "dell_tpcc_1997")
+    summary = [line for line in out.splitlines() if line.startswith("break-even")]
+    assert code == 0 and len(summary) == 1
+    assert summary[0].split(":", 1)[1].split()[0] == "266.667"
 
 
 def test_breakeven_explicit_unit_inputs():
@@ -217,11 +235,21 @@ def test_gen_trace_and_simulate_round_trip(tmp_path):
     assert header == ["logical", "physical", "hit_ratio", "evictions",
                       "contention_flushes", "checkpoint_flushes", "fallbacks"]
     assert row[0] == "500"
+    with open(trace_path, encoding="utf-8") as fh:
+        trace = bufferpool.read_trace_csv(fh)
+    config = bufferpool.PoolConfig(frames=16, base_policy="clock2", n_minute_s=4,
+                                   checkpoint_interval_s=5)
+    assert out == bufferpool.simulate(trace, config).csv()
 
 
 def test_gen_trace_stdout_is_byte_stable():
     argv = ["gen-trace", "--seed", "5", "--ops", "50", "--pages", "6"]
     assert run(*argv) == run(*argv)
+
+
+def test_gen_trace_rejects_nan_zipf_exit_2():
+    assert run("gen-trace", "--seed", "1", "--ops", "5", "--pages", "10",
+               "--zipf-s", "nan") == (2, "")
 
 
 def test_simulate_three_event_example(tmp_path):
@@ -258,6 +286,17 @@ def test_simulate_config_errors_exit_2(tmp_path):
                "--n-seconds", "nan")[0] == 2
 
 
+def test_simulate_skips_idle_checkpoint_boundaries(tmp_path):
+    # 1e12 boundaries lie in the gap; stepping through them one by one
+    # would run for hours, so a subprocess time limit turns a hang into a failure
+    trace_path = tmp_path / "gap.csv"
+    trace_path.write_text("time,page,op\n0,A,w\n1e12,B,r\n", encoding="utf-8")
+    proc = run_cold("-m", "storage_rules.cli", "simulate", "--trace", str(trace_path),
+                    "--frames", "2", "--checkpoint", "1", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert csv_rows(proc.stdout)[1] == [["2", "2", "0", "0", "0", "1", "0"]]
+
+
 def test_csv_outputs_are_byte_stable():
     for argv in (["indexsize", "--table6", "--format", "csv"],
                  ["metrics", "--table8", "--format", "csv"],
@@ -268,3 +307,43 @@ def test_csv_outputs_are_byte_stable():
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+# The analytic commands scripts/reproduce_tables.py and perfbench run, with
+# the note each table must keep (None: the table has no note).
+RENDERED_COMMANDS = [
+    (["presets"], None),
+    (["breakeven", "--device", "dell_tpcc_1997"], None),
+    (["breakeven", "--device", "table8_tape_robot", "--page-bytes", "8192"], "two months"),
+    (["seqrule", "--transfer-bytes", "65536", "--bandwidth-bps", str(5 * 2**20)], None),
+    (["seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20)], "about 40 s"),
+    (["sortplan", "--file-bytes", "1e14"], None),
+    (["sortplan", "--file-bytes", "1e11", "--memory-bytes", "1e8"], None),
+    (["indexsize", "--table6"], "entries/page about 5%"),
+    (["indexsize", "--figure7"], "11-12 ms"),
+    (["metrics", "--table8"], "296 $"),
+]
+
+
+@pytest.mark.parametrize("argv,note", RENDERED_COMMANDS)
+def test_table_prints_the_csv_cells_then_the_trailer(argv, note):
+    code, table = run(*argv)
+    assert code == 0
+    csv_lines = run(*argv, "--format", "csv")[1].splitlines()
+    lines = table.splitlines()
+    assert lines[0].split() == csv_lines[0].split(",")
+    assert len(lines) >= len(csv_lines)
+    for line, csv_line in zip(lines[1:], csv_lines[1:]):
+        assert line.split() == [cell for cell in csv_line.split(",") if cell]
+    notes = [line for line in lines[len(csv_lines):] if line.startswith("note:")]
+    if note is None:
+        assert notes == []
+    else:
+        assert len(notes) == 1 and note in notes[0]
+
+
+def test_analytic_commands_do_not_import_numpy():
+    proc = run_cold("-c", "import sys, storage_rules.cli; "
+                          "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

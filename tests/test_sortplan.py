@@ -91,6 +91,8 @@ def test_run_merge_plan_infeasible_carries_required_memory():
         sorting.run_merge_plan(1e12, 1e6, 1e5)
     required = err.value.required_memory_bytes
     assert required == pytest.approx(sorting.two_pass_memory(1e12, 1e5))
+    assert err.value.run_count == 1_000_000
+    assert err.value.fan_in == 10
 
 
 def test_run_merge_plan_validation():
