@@ -26,14 +26,14 @@ with this one event for event:
   eligible the base-policy victim among all frames is taken and the
   fallback counter is bumped.  Evicting a dirty frame counts one
   contention flush.
-* With a checkpoint interval C, every boundary k*C <= t (k = 1, 2, ...)
-  is processed, in order, before the event at t: frames first dirtied
-  before the previous boundary (k-1)*C are written clean, one checkpoint
-  flush each.  Boundaries with nothing dirty flush nothing and are
-  skipped in one step, so a long idle gap costs no time per boundary.
-  A final checkpoint at end of trace cleans every dirty frame.  A
-  disabled interval disables all checkpoint activity, including the
-  final one.
+* With a checkpoint interval C, boundary k*C (k = 1, 2, ...) cleans the
+  frames first dirtied before (k-1)*C, one checkpoint flush each.  Only
+  the last boundary <= t acts before the event at t (cutoffs only grow
+  and nothing is dirtied in between); it pops one queued dirtying per
+  step, so no cost grows with the boundaries crossed or the pool size.
+  Once a boundary is passed, t/C >= 2**53 (where boundaries stop being
+  distinct floats) raises TraceOrderError.  A final checkpoint at end of
+  trace cleans every dirty frame; no interval, no checkpoints at all.
 * Clock2 keeps one reference bit per frame in a fixed ring of slots
   filled in index order; the hand starts at slot 0 and stops just past
   the victim.  Loads and hits set the bit.  The sweep skips ineligible
@@ -46,7 +46,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -66,7 +66,7 @@ class ConfigError(ValueError):
 
 
 class TraceOrderError(ValueError):
-    """Trace timestamps went backwards or were not finite."""
+    """Trace timestamps went backwards, were not finite, or outran checkpoints."""
 
 
 class TraceEvent(NamedTuple):
@@ -133,11 +133,12 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     dirty = bytearray(frames)
     first_dirt = [0.0] * frames
     ref = bytearray(frames)  # Clock2 reference bits
-    hand = used = 0
+    # (first_dirt, slot) per clean-to-dirty change; popping skips stale ones
+    dirtied = deque(maxlen=0 if cp is None else None)
+    hand = 0
     logical = physical = evictions = contention = checkpoints = fallbacks = 0
-    dirty_count = 0
-    cp_k = 1
     inf = math.inf
+    next_boundary = cp if cp is not None else inf
     prev_t = -sys.float_info.max  # below every finite time, above -inf
 
     for t, page, op in trace:
@@ -147,21 +148,22 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
             raise TraceOrderError(f"trace times must be finite, got {t}")
         prev_t = t
 
-        if cp is not None:
-            boundary = cp_k * cp
-            while boundary <= t:
-                if dirty_count:
-                    cutoff = boundary - cp
-                    for i in range(used):
-                        if dirty[i] and first_dirt[i] < cutoff:
-                            dirty[i] = 0
-                            checkpoints += 1
-                            dirty_count -= 1
-                else:
-                    # nothing dirty, so no boundary up to t flushes anything
-                    cp_k = max(cp_k, math.floor(t / cp))
-                cp_k += 1
-                boundary = cp_k * cp
+        if t >= next_boundary:
+            # below 2**53 floor(t/C) is within one of the last k with k*C <= t
+            if not t / cp < 2**53:
+                raise TraceOrderError(f"time {t} is 2**53 or more checkpoint intervals of {cp} s")
+            k = math.floor(t / cp)
+            if k * cp > t:
+                k -= 1
+            elif (k + 1) * cp <= t:
+                k += 1
+            next_boundary = (k + 1) * cp
+            cutoff = k * cp - cp
+            while dirtied and dirtied[0][0] < cutoff:
+                i = dirtied.popleft()[1]
+                if dirty[i] and first_dirt[i] < cutoff:
+                    dirty[i] = 0
+                    checkpoints += 1
 
         logical += 1
         i = slot_of.get(page)
@@ -173,14 +175,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
             if op == "write" and not dirty[i]:
                 dirty[i] = 1
                 first_dirt[i] = t
-                dirty_count += 1
+                dirtied.append((t, i))
         else:
             physical += 1
             last = history.get(page)
             prot = t + n_lifetime if (last is not None and last >= t - n_lifetime) else t
-            if used < frames:
-                i = used
-                used += 1
+            if len(slot_of) < frames:
+                i = len(slot_of)
             else:
                 was_fallback = False
                 if lru:
@@ -217,7 +218,6 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                     fallbacks += 1
                 if dirty[i]:
                     contention += 1
-                    dirty_count -= 1
                 if event_log is not None:
                     event_log.append(("evict", t, old, protected[i], was_fallback))
             slot_page[i] = page
@@ -227,13 +227,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
             if op == "write":
                 dirty[i] = 1
                 first_dirt[i] = t
-                dirty_count += 1
+                dirtied.append((t, i))
             else:
                 dirty[i] = 0
         history[page] = t
 
-    if cp is not None and dirty_count:
-        checkpoints += dirty_count  # final checkpoint cleans everything
+    if cp is not None:
+        checkpoints += sum(dirty)  # final checkpoint cleans everything
     hit_ratio = 1.0 - physical / logical if logical else 0.0
     return SimReport(logical, physical, evictions, contention, checkpoints,
                      fallbacks, hit_ratio)

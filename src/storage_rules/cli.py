@@ -2,19 +2,20 @@
 device metrics, and the buffer-pool simulator.
 
 Exit codes: 0 success, 2 argument/config errors, 3 input-data errors
-(malformed device or trace files).  Each command computes one result,
-``(header, rows, trailer)``, and ``_render`` prints it either as CSV or
-as a table.  ``--format csv`` output is byte-stable: fixed column order,
-6-significant-digit floats, ``\\n`` line endings (trace files keep
-full-precision times so replays are exact).  The table shows the same
-header and rows in right-aligned columns, followed by the trailer:
-summary lines and the ``note:`` lines that point out known
-discrepancies against the published 1997 tabulations, which are never
-silently altered.
+(malformed or unreadable device or trace files).  Each command computes
+one result, ``(header, rows, trailer)``, and ``_render`` prints it
+either as CSV or as a table.  ``--format csv`` output is byte-stable:
+fixed column order, 6-significant-digit floats, ``\\n`` line endings
+(trace files keep full-precision times so replays are exact).  The
+table shows the same header and rows in right-aligned columns, followed
+by the trailer: summary lines and the ``note:`` lines that point out
+known discrepancies against the published 1997 tabulations, which are
+never silently altered.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -92,6 +93,8 @@ def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
         catalog = devices.load_device_file(spec_arg)
     except ValueError as err:  # DeviceFileError included
         raise _CliDataError(f"{spec_arg}: {err}") from None
+    except OSError as err:
+        raise _CliDataError(f"cannot read device file {spec_arg}: {err.strerror}") from None
     if not catalog:
         raise _CliDataError(f"{spec_arg}: device file is empty")
     if device_name is None:
@@ -112,6 +115,8 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
     if args.device is not None:
         dev = _load_device(args.device, args.device_name)
         page = args.page_bytes
+        if page is not None and not 0 < page < math.inf:
+            raise _CliArgError("--page-bytes must be finite and > 0")
         if dev.kind == "ram":
             raise _CliArgError("RAM is the cache side of the trade; "
                                "--device must name a disk or tape_robot")
@@ -170,6 +175,8 @@ def _cmd_seqrule(args):
         if args.page_sizes:
             sizes = _parse_size_list(args.page_sizes)
         else:
+            if not (0 < args.page_min < math.inf and args.page_max < math.inf):
+                raise _CliArgError("--page-min must be finite and > 0, --page-max finite")
             sizes = []
             size = args.page_min
             while size <= args.page_max:
@@ -340,7 +347,11 @@ def _gen_trace(args, out) -> None:
     if args.out is None:
         bufferpool.write_trace_csv(trace, out)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as err:
+            raise _CliArgError(f"cannot write --out {args.out}: {err.strerror}") from None
+        with fh:
             bufferpool.write_trace_csv(trace, fh)
 
 
@@ -348,8 +359,8 @@ def _cmd_simulate(args):
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = bufferpool.read_trace_csv(fh)
-    except FileNotFoundError:
-        raise _CliDataError(f"trace file not found: {args.trace}") from None
+    except OSError as err:
+        raise _CliDataError(f"cannot read trace file {args.trace}: {err.strerror}") from None
     except ValueError as err:
         raise _CliDataError(f"{args.trace}: {err}") from None
     config = bufferpool.PoolConfig(
@@ -507,7 +518,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (_CliDataError, devices.DeviceFileError, bufferpool.TraceOrderError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (_CliArgError, ValueError) as err:  # ConfigError, UnknownPresetError, ...
+    # ConfigError, UnknownPresetError, ...; OverflowError: a float result too large for an int
+    except (_CliArgError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

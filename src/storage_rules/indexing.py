@@ -51,8 +51,8 @@ class PageEvaluation:
 
 
 def entries_per_page(page_bytes: float, params: IndexParams) -> float:
-    if not page_bytes > 0:
-        raise ValueError("page_bytes must be > 0")
+    if not 0 < page_bytes < math.inf:  # also false for NaN
+        raise ValueError("page_bytes must be finite and > 0")
     return params.fill_factor * page_bytes / params.entry_bytes
 
 
@@ -74,8 +74,8 @@ def index_height(n_items: float, entries: float) -> float:
 
 def access_cost(page_bytes: float, model: PageCostModel) -> float:
     """Seconds to fetch one page: latency + transfer."""
-    if not page_bytes > 0:
-        raise ValueError("page_bytes must be > 0")
+    if not 0 < page_bytes < math.inf:  # also false for NaN
+        raise ValueError("page_bytes must be finite and > 0")
     return model.latency_s + page_bytes / model.bandwidth_bps
 
 

@@ -16,6 +16,7 @@ Everything in this module is a pure function over frozen inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 BINARY_MB = float(2**20)
@@ -27,8 +28,8 @@ class TechnologyParams:
     accesses_per_sec: float
 
     def __post_init__(self):
-        if not (self.pages_per_mb > 0 and self.accesses_per_sec > 0):
-            raise ValueError("TechnologyParams fields must be > 0")
+        if not (0 < self.pages_per_mb < math.inf and 0 < self.accesses_per_sec < math.inf):
+            raise ValueError("TechnologyParams fields must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class EconomicParams:
     ram_price_per_mb: float
 
     def __post_init__(self):
-        if not (self.device_price_dollars > 0 and self.ram_price_per_mb > 0):
-            raise ValueError("EconomicParams fields must be > 0")
+        if not (0 < self.device_price_dollars < math.inf
+                and 0 < self.ram_price_per_mb < math.inf):
+            raise ValueError("EconomicParams fields must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,8 @@ class SequentialParams:
     bandwidth_bps: float
 
     def __post_init__(self):
-        if not (self.transfer_bytes > 0 and self.bandwidth_bps > 0):
-            raise ValueError("SequentialParams fields must be > 0")
+        if not (0 < self.transfer_bytes < math.inf and 0 < self.bandwidth_bps < math.inf):
+            raise ValueError("SequentialParams fields must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,12 @@ def two_pass_memory(file_bytes: float, buffer_bytes: float,
                     c_buf: float = DEFAULT_C_BUF,
                     c_sqrt: float = DEFAULT_C_SQRT) -> float:
     """Memory for a two-pass sort of file_bytes with IO units of buffer_bytes."""
-    if not buffer_bytes > 0:
-        raise ValueError("buffer_bytes must be > 0")
-    if file_bytes < 0:
-        raise ValueError("file_bytes must be >= 0")
-    if not (c_buf > 0 and c_sqrt > 0):
-        raise ValueError("constants must be > 0")
+    if not 0 < buffer_bytes < math.inf:  # also false for NaN
+        raise ValueError("buffer_bytes must be finite and > 0")
+    if not 0 <= file_bytes < math.inf:
+        raise ValueError("file_bytes must be finite and >= 0")
+    if not (0 < c_buf < math.inf and 0 < c_sqrt < math.inf):
+        raise ValueError("constants must be finite and > 0")
     return c_buf * buffer_bytes + c_sqrt * math.sqrt(buffer_bytes * file_bytes)
 
 
@@ -60,16 +60,19 @@ def max_two_pass_file(memory_bytes: float, buffer_bytes: float,
                       c_buf: float = DEFAULT_C_BUF,
                       c_sqrt: float = DEFAULT_C_SQRT) -> float:
     """Largest file the given memory sorts in two passes (two_pass_memory inverted)."""
-    if not buffer_bytes > 0:
-        raise ValueError("buffer_bytes must be > 0")
-    if not (c_buf > 0 and c_sqrt > 0):
-        raise ValueError("constants must be > 0")
+    if not 0 < buffer_bytes < math.inf:  # also false for NaN
+        raise ValueError("buffer_bytes must be finite and > 0")
+    if not memory_bytes < math.inf:  # also true for NaN
+        raise ValueError("memory_bytes must be finite")
+    if not (0 < c_buf < math.inf and 0 < c_sqrt < math.inf):
+        raise ValueError("constants must be finite and > 0")
     headroom = memory_bytes - c_buf * buffer_bytes
     if headroom <= 0:
         raise ValueError(
             f"insufficient memory for any two-pass sort: need more than "
             f"{c_buf:g} x {buffer_bytes:g} = {c_buf * buffer_bytes:g} bytes")
-    return (headroom / c_sqrt) ** 2 / buffer_bytes
+    root = headroom / c_sqrt  # root * root overflows to inf; root ** 2 raises
+    return root * root / buffer_bytes
 
 
 def _ceil_div(a, b) -> int:
@@ -85,12 +88,12 @@ def run_merge_plan(file_bytes, memory_bytes, buffer_bytes) -> SortPlan:
     floor(memory/buffer) of them.  More runs than fan-in means the sort
     needs a third pass, which is out of plan.
     """
-    if not buffer_bytes > 0:
-        raise ValueError("buffer_bytes must be > 0")
-    if memory_bytes < buffer_bytes:
-        raise ValueError("memory_bytes must be at least buffer_bytes")
-    if file_bytes < 0:
-        raise ValueError("file_bytes must be >= 0")
+    if not 0 < buffer_bytes < math.inf:  # also false for NaN
+        raise ValueError("buffer_bytes must be finite and > 0")
+    if not buffer_bytes <= memory_bytes < math.inf:
+        raise ValueError("memory_bytes must be finite and at least buffer_bytes")
+    if not 0 <= file_bytes < math.inf:
+        raise ValueError("file_bytes must be finite and >= 0")
     fan_in = int(memory_bytes // buffer_bytes)
     if file_bytes <= memory_bytes:
         return SortPlan(passes=1,

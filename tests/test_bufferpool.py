@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_sim import brute_force_simulate, plain_base_policy, random_trace
 from storage_rules import bufferpool, rules
@@ -72,6 +72,12 @@ def test_unordered_trace_rejected():
                 with pytest.raises(TraceOrderError):
                     simulate(bad, PoolConfig(frames=2, base_policy=policy,
                                              checkpoint_interval_s=cp))
+    # from 2**53 intervals on, consecutive boundaries k*C are no longer distinct
+    for far, cp in (([TraceEvent(0, "A", "write"), TraceEvent(1e25, "B", "write")], 1.0),
+                    ([TraceEvent(0, "A", "write"), TraceEvent(1e10, "B", "read")], 1e-300)):
+        with pytest.raises(TraceOrderError, match=r"2\*\*53"):
+            simulate(far, PoolConfig(frames=2, checkpoint_interval_s=cp))
+        assert simulate(far, PoolConfig(frames=2)).logical_accesses == 2
 
 
 def test_config_validation():
@@ -286,6 +292,34 @@ def test_mixed_page_ids_and_gaps_match_brute_force(steps, frames, n):
             got = simulate(trace, PoolConfig(frames=frames, base_policy=policy,
                                              n_minute_s=n, checkpoint_interval_s=cp))
             assert got == brute_force_simulate(trace, frames, policy, n, cp), (policy, cp)
+
+
+# Each event sits on a boundary k*C or one float to either side of it,
+# where floor(t/C) and k*C <= t may disagree; k starts below zero.  The
+# examples write one page twice, the second time where floor(t/C) is one
+# above (t = 1 - 2**-53) or one below (t = 7/3) the last boundary <= t.
+@settings(deadline=None)
+@example(cp=1 / 3, k0=1, steps=[(0, 0, 1, "write"), (2, -1, 1, "write")], frames=1, n=0.0)
+@example(cp=1 / 3, k0=2, steps=[(3, 1, 1, "write"), (2, 0, 1, "write")], frames=1, n=0.0)
+@given(cp=st.sampled_from([0.1, 0.3, 1 / 3, 7.0]),
+       k0=st.integers(-3, 2),
+       steps=st.lists(st.tuples(st.one_of(st.integers(0, 2), st.integers(0, 40)),
+                                st.sampled_from([-1, 0, 1]),
+                                st.integers(1, 3),
+                                st.sampled_from(["read", "write"])), max_size=50),
+       frames=st.integers(1, 4),
+       n=st.sampled_from([0.0, 1.0, 1000.0]))
+def test_times_at_checkpoint_boundaries_match_brute_force(cp, k0, steps, frames, n):
+    trace = []
+    k = k0
+    for dk, side, page, op in steps:
+        k += dk
+        t = math.nextafter(k * cp, side * math.inf) if side else k * cp
+        trace.append(TraceEvent(max(t, trace[-1].time_s) if trace else t, page, op))
+    for policy in ("lru", "clock2"):
+        got = simulate(trace, PoolConfig(frames=frames, base_policy=policy,
+                                         n_minute_s=n, checkpoint_interval_s=cp))
+        assert got == brute_force_simulate(trace, frames, policy, n, cp), policy
 
 
 def test_single_frame_misses_everything_iff_no_consecutive_repeats():

@@ -2,8 +2,10 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from storage_rules import bufferpool
 from storage_rules.cli import main
@@ -99,6 +101,7 @@ def test_breakeven_malformed_device_file_exits_3(tmp_path):
     path = tmp_path / "broken.device"
     path.write_text("[device]\nname = d\nkind = disk\n", encoding="utf-8")
     assert run("breakeven", "--device", str(path))[0] == 3
+    assert run("breakeven", "--device", str(tmp_path)) == (3, "")  # a directory
 
 
 def test_seqrule_point_values():
@@ -127,6 +130,9 @@ def test_seqrule_curve_and_asymptote():
     assert float(csv_rows(out)[1][0][1]) == pytest.approx(13.333, abs=0.001)
     code, out = run("seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20))
     assert "note:" in out and "asymptote" in out
+    # each would keep the size-doubling loop from ever passing --page-max
+    for bad in ("--page-min=0", "--page-min=-1", "--page-min=nan", "--page-max=inf"):
+        assert run("seqrule", "--curve", "--bandwidth-bps", "1e7", bad) == (2, "")
 
 
 def test_sortplan_plan_and_inverse():
@@ -142,6 +148,9 @@ def test_sortplan_plan_and_inverse():
     code, out = run("sortplan", "--max-file", "--memory-bytes", "5e9", "--format", "csv")
     assert float(csv_rows(out)[1][0][2]) == pytest.approx(3.39e14, rel=0.01)
     assert run("sortplan")[0] == 2
+    # a fan-in of 1e12 / 1e-300 overflows to inf, which int() cannot take
+    assert run("sortplan", "--file-bytes", "1e11", "--memory-bytes", "1e12",
+               "--buffer-bytes", "1e-300") == (2, "")
 
 
 def test_indexsize_table6_csv():
@@ -252,6 +261,13 @@ def test_gen_trace_rejects_nan_zipf_exit_2():
                "--zipf-s", "nan") == (2, "")
 
 
+def test_gen_trace_unwritable_out_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "t.csv", tmp_path):
+        assert run("gen-trace", "--seed", "1", "--ops", "5", "--pages", "3",
+                   "--out", str(out)) == (2, "")
+    assert capsys.readouterr().err.count("error: cannot write --out") == 2
+
+
 def test_simulate_three_event_example(tmp_path):
     trace_path = tmp_path / "aba.csv"
     trace_path.write_text("time,page,op\n0,A,r\n1,B,r\n2,A,r\n", encoding="utf-8")
@@ -275,6 +291,15 @@ def test_simulate_input_errors_exit_3(tmp_path):
     endless.write_text("time,page,op\n0,A,w\ninf,B,r\n", encoding="utf-8")
     assert run("simulate", "--trace", str(endless), "--frames", "2",
                "--checkpoint", "5")[0] == 3
+    assert run("simulate", "--trace", str(tmp_path), "--frames", "2")[0] == 3
+    # from 2**53 intervals on, boundaries k*C stop being distinct floats;
+    # the subprocess time limit turns a hang into a failure
+    far = tmp_path / "far.csv"
+    for body, cp in (("0,A,w\n1e25,B,w\n1e25,C,r\n", "1"), ("0,A,w\n1e10,B,r\n", "1e-300")):
+        far.write_text("time,page,op\n" + body, encoding="utf-8")
+        proc = run_cold("-m", "storage_rules.cli", "simulate", "--trace", str(far),
+                        "--frames", "2", "--checkpoint", cp)
+        assert proc.returncode == 3 and proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_simulate_config_errors_exit_2(tmp_path):
@@ -347,3 +372,61 @@ def test_analytic_commands_do_not_import_numpy():
                           "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Numeric flags of the analytic commands, one mode per entry.
+ANALYTIC_FLAGS = [
+    (["breakeven", "--device", "dell_tpcc_1997"], ["--page-bytes", "--ram-price"]),
+    (["breakeven", "--raid", "5"],
+     ["--pages-per-mb", "--accesses-per-sec", "--device-price", "--ram-price",
+      "--write-fraction", "--raid-read-mult", "--raid-write-mult"]),
+    (["seqrule"], ["--transfer-bytes", "--bandwidth-bps", "--device-price", "--ram-price"]),
+    (["seqrule", "--asymptote"], ["--bandwidth-bps", "--device-price", "--ram-price"]),
+    (["seqrule", "--curve"],
+     ["--bandwidth-bps", "--latency-s", "--page-min", "--page-max", "--ram-price"]),
+    (["sortplan"], ["--file-bytes", "--buffer-bytes", "--memory-bytes", "--c-buf",
+                    "--c-sqrt", "--one-pass-threshold"]),
+    (["sortplan", "--max-file"], ["--memory-bytes", "--buffer-bytes", "--c-buf", "--c-sqrt"]),
+    (["indexsize"], ["--page-bytes", "--entry-bytes", "--fill", "--latency-s",
+                     "--bandwidth-bps"]),
+    (["metrics", "--device", "table8_disk"], ["--years"]),
+]
+NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e-300", "0.5", "2", "8192", "1e7", "1e12"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(mode=st.sampled_from(ANALYTIC_FLAGS), data=st.data())
+def test_analytic_flags_exit_0_or_2_and_never_print_nan(mode, data):
+    argv, flags = mode
+    for flag in flags:
+        value = data.draw(st.one_of(st.none(), st.sampled_from(NUMBERS)), label=flag)
+        if value is not None:
+            argv = argv + [f"{flag}={value}"]  # "=": argparse reads "-inf" as an option
+    code, out = run(*argv, "--format", "csv")
+    assert code in (0, 2)
+    assert "nan" not in [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+
+
+_TIMES = ["0", "1", "-1", "2.5", "1e25", "nan", "inf", "x", ""]
+_OPS = ["r", "w", " w", "R", ""]
+_TRACE_LINE = st.one_of(
+    st.tuples(st.sampled_from(_TIMES), st.sampled_from(["A", "1", ""]),
+              st.sampled_from(_OPS)).map(",".join),
+    st.lists(st.sampled_from(_TIMES + _OPS), max_size=4).map(",".join))
+
+
+@settings(deadline=None, max_examples=200)
+@example(header=bufferpool.TRACE_HEADER, lines=["1e25,A,r"], tail=b"", checkpoint="1e-300")
+@given(header=st.sampled_from([bufferpool.TRACE_HEADER, "time,page", ""]),
+       lines=st.lists(_TRACE_LINE, max_size=6),
+       tail=st.binary(max_size=8),
+       checkpoint=st.sampled_from(["0", "1", "1e-300"]))
+def test_malformed_trace_csv_exits_0_or_3(header, lines, tail, checkpoint):
+    text = "\n".join([header, *lines]).encode() + tail  # tail may not be UTF-8
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        code, _ = run("simulate", "--trace", path, "--frames", "2",
+                      "--n-seconds", "5", "--checkpoint", checkpoint)
+    assert code in (0, 3)

@@ -173,6 +173,11 @@ def test_param_validation():
         PageCostModel(0, 1e7)
     with pytest.raises(ValueError):
         indexing.entries_per_page(0, ENTRY20)
+    for page in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            indexing.entries_per_page(page, ENTRY20)
+        with pytest.raises(ValueError, match="finite"):
+            indexing.access_cost(page, REFERENCE_MODEL)
 
 
 def test_table6_columns_match_published_values():

@@ -62,6 +62,15 @@ def test_sequential_break_even_rejects_bad_passes():
         rules.sequential_break_even(SequentialParams(1, 1), DELL_EP, "thrice")
 
 
+def test_params_reject_non_finite_fields():
+    # inf / inf and inf * 0 turn into NaN ratios downstream
+    for bad in (math.inf, math.nan):
+        for make in (lambda x: TechnologyParams(x, 64), lambda x: EconomicParams(2000, x),
+                     lambda x: SequentialParams(65536, x)):
+            with pytest.raises(ValueError, match="finite"):
+                make(bad)
+
+
 def test_asymptotic_sequential_interval():
     assert rules.asymptotic_sequential_interval(5 * 2**20, DELL_EP) == pytest.approx(
         26.67, abs=0.01)

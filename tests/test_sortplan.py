@@ -29,6 +29,12 @@ def test_two_pass_memory_validation():
         sorting.two_pass_memory(-1, 8192)
     with pytest.raises(ValueError):
         sorting.two_pass_memory(1e9, 8192, c_buf=0)
+    # a NaN or inf size or constant gives NaN or inf memory (inf * sqrt(0) is NaN)
+    for args in ((math.nan, 8192), (math.inf, 8192), (1e9, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sorting.two_pass_memory(*args)
+    with pytest.raises(ValueError, match="finite"):
+        sorting.two_pass_memory(0, 8192, c_sqrt=math.inf)
 
 
 @given(file_bytes=st.floats(min_value=0, max_value=1e18),
@@ -69,6 +75,11 @@ def test_max_two_pass_file_boundary_error():
         sorting.max_two_pass_file(6 * 8192, 8192)
     with pytest.raises(ValueError, match="insufficient memory"):
         sorting.max_two_pass_file(100, 8192)
+    for memory in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sorting.max_two_pass_file(memory, 8192)
+    # the square overflows to inf instead of raising OverflowError
+    assert sorting.max_two_pass_file(1e300, 8192) == math.inf
 
 
 def test_run_merge_plan_thousand_runs():
@@ -98,6 +109,9 @@ def test_run_merge_plan_infeasible_carries_required_memory():
 def test_run_merge_plan_validation():
     with pytest.raises(ValueError, match="memory_bytes"):
         sorting.run_merge_plan(1e9, 50, 100)
+    for args in ((1e9, math.nan, 100), (1e9, math.inf, 100), (math.nan, 1e6, 100)):
+        with pytest.raises(ValueError, match="finite"):
+            sorting.run_merge_plan(*args)
 
 
 def _brute_force_two_pass_feasible(file_bytes: int, memory: int, buffer: int) -> bool:
