@@ -40,6 +40,41 @@ with this one event for event:
   frames without touching their bits; the fallback sweep ignores
   protection.
 * LRU victims are least-recently-used; hits and loads both count as use.
+
+Cost.  No eviction visits a protected frame, save to park it (LRU, once
+per load or hit) or in a fallback, where every frame is protected;
+auxiliary state is O(frames).  Every protection runs N seconds from a
+non-decreasing t, so protections lapse in the order they were granted:
+a FIFO of (protected_until, slot, load number) entries, popped before
+each victim choice, keeps the count of protected frames, and when that
+count is the pool size the fallback victim is taken at once.  Every
+load, protected or not, stamps its slot with a new load number (the
+physical read count), so an entry whose slot was reloaded since is
+skipped as stale.
+
+Clock2 keeps one byte per frame: bit 0 is the reference bit, bit 1 the
+protected flag.  The hand clears the 1 bytes it passes and stops at a 0
+byte; at a protected frame it leaves the rest of the sweep to
+bytearray.find, which skips protected frames in C, and one translate
+clears the reference bits passed.  The fallback sweep is a Python loop.
+
+LRU parks the protected pages its scan from the cold end meets: a
+parked page leaves the recency order and is older than every page still
+in it, and pages are parked in recency order; a hit returns a parked
+page to the recent end.  The victim is the oldest parked page whose
+protection has lapsed (a heap keyed by park number), else the first
+page in recency order; a fallback takes the oldest parked page, else
+the first page in recency order.
+
+So each eviction does O(1) amortised Python work whatever share of
+frames is protected.  The FIFO drops its stale entries whenever it
+passes 2 * frames entries.  The heap needs no such step: it holds at
+most one entry per slot, since a slot's entry leaves it before the slot
+is reloaded (a slot is evicted through its entry, by the recency scan,
+which runs only once the heap is empty, or in a fallback, which never
+takes a frame whose protection has lapsed).  Per-slot state grows as
+the pool fills, so frames beyond the trace's distinct pages cost
+nothing.
 """
 from __future__ import annotations
 
@@ -59,6 +94,10 @@ _U64 = (1 << 64) - 1
 TRACE_HEADER = "time,page,op"
 REPORT_HEADER = ("logical,physical,hit_ratio,evictions,"
                  "contention_flushes,checkpoint_flushes,fallbacks")
+
+
+# clears Clock2's reference bit (byte 1 -> 0) but not a protected frame's
+_CLEAR_REF = bytes.maketrans(b"\x01", b"\x00")
 
 
 class ConfigError(ValueError):
@@ -124,15 +163,27 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     cp = config.checkpoint_interval_s
     lru = config.base_policy == "lru"
 
+    from heapq import heappop, heappush  # here: analytic commands never need it
+
     history: dict = {}
-    # page -> slot; under LRU the order is recency, least recent first
+    # page -> slot of each resident page but the parked ones; under LRU the
+    # order is recency, least recent first
     slot_of = OrderedDict() if lru else {}
     move_to_end = slot_of.move_to_end if lru else None
-    slot_page = [None] * frames
-    protected = [0.0] * frames
-    dirty = bytearray(frames)
-    first_dirt = [0.0] * frames
-    ref = bytearray(frames)  # Clock2 reference bits
+    parked = OrderedDict()  # LRU: page -> slot, in the order they were parked
+    # per-slot state, grown as the pool fills
+    slot_page = []
+    protected = []
+    loaded = []     # load number (the physical read count) of the slot's page
+    parked_at = []  # park number of a parked page, else 0
+    dirty = bytearray()
+    first_dirt = []
+    ref = bytearray()  # bit 0: Clock2 reference bit; bit 1: protected
+    # (protected_until, slot, load number) per protected load, oldest first
+    expiries = deque()
+    n_protected = 0
+    lapsed = []  # heap of (park number, slot) of parked pages no longer protected
+    park_no = 0
     # (first_dirt, slot) per clean-to-dirty change; popping skips stale ones
     dirtied = deque(maxlen=0 if cp is None else None)
     hand = 0
@@ -167,11 +218,16 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
 
         logical += 1
         i = slot_of.get(page)
+        if i is None and parked:
+            i = parked.pop(page, None)
+            if i is not None:  # a hit returns a parked page to the recent end
+                parked_at[i] = 0
+                slot_of[page] = i
         if i is not None:
             if lru:
                 move_to_end(page)
             else:
-                ref[i] = 1
+                ref[i] |= 1
             if op == "write" and not dirty[i]:
                 dirty[i] = 1
                 first_dirt[i] = t
@@ -180,39 +236,74 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
             physical += 1
             last = history.get(page)
             prot = t + n_lifetime if (last is not None and last >= t - n_lifetime) else t
-            if len(slot_of) < frames:
-                i = len(slot_of)
+            if len(slot_page) < frames:
+                i = len(slot_page)
+                slot_page.append(None)
+                protected.append(0.0)
+                loaded.append(0)
+                parked_at.append(0)
+                dirty.append(0)
+                first_dirt.append(0.0)
+                ref.append(0)
             else:
-                was_fallback = False
-                if lru:
-                    for i in slot_of.values():
-                        if protected[i] <= t:
-                            break
-                    else:
-                        i = next(iter(slot_of.values()))
-                        was_fallback = True
-                else:
-                    # Two rounds over eligible frames: the first clears
-                    # reference bits, the second must hit an unreferenced one.
+                while expiries and expiries[0][0] <= t:
+                    _, j, load = expiries.popleft()
+                    if loaded[j] == load:
+                        n_protected -= 1
+                        ref[j] &= 1
+                        if parked_at[j]:
+                            heappush(lapsed, (parked_at[j], j))
+                was_fallback = n_protected == frames
+                if was_fallback:
+                    n_protected -= 1  # the victim is one of them
+                if not lru:
+                    # The hand clears the reference bits of the candidates it
+                    # passes and stops at the first one whose bit is clear.
                     i = hand
-                    remaining = 2 * frames
-                    while remaining:
-                        if protected[i] <= t:
-                            if ref[i]:
-                                ref[i] = 0
-                            else:
-                                break
-                        i = i + 1 if i + 1 < frames else 0
-                        remaining -= 1
-                    else:
-                        # every frame is protected: sweep again, ignoring protection
-                        was_fallback = True
-                        while ref[i]:
+                    if was_fallback:  # every frame, all protected: byte 3 or 2
+                        while ref[i] == 3:
+                            ref[i] = 2
+                            i = i + 1 if i + 1 < frames else 0
+                    else:  # the eligible frames: byte 1 or 0
+                        while ref[i] == 1:
                             ref[i] = 0
                             i = i + 1 if i + 1 < frames else 0
+                        if ref[i]:
+                            # a protected frame: find skips it and all the others
+                            hand = i
+                            i = ref.find(0, hand)
+                            if i < 0:  # wrap to slot 0
+                                ref[hand:] = ref[hand:].translate(_CLEAR_REF)
+                                hand = 0
+                                i = ref.find(0)
+                                if i < 0:  # every eligible frame was referenced
+                                    ref = ref.translate(_CLEAR_REF)
+                                    i = ref.find(0)
+                            ref[hand:i] = ref[hand:i].translate(_CLEAR_REF)
                     hand = i + 1 if i + 1 < frames else 0
-                old = slot_page[i]
-                del slot_of[old]
+                    old = slot_page[i]
+                    del slot_of[old]
+                elif was_fallback:
+                    if parked:
+                        old, i = parked.popitem(last=False)
+                        parked_at[i] = 0
+                    else:
+                        old, i = slot_of.popitem(last=False)
+                else:
+                    while lapsed and parked_at[lapsed[0][1]] != lapsed[0][0]:
+                        heappop(lapsed)
+                    if lapsed:
+                        i = heappop(lapsed)[1]
+                        old = slot_page[i]
+                        del parked[old]
+                        parked_at[i] = 0
+                    else:
+                        old, i = slot_of.popitem(last=False)
+                        while protected[i] > t:
+                            park_no += 1
+                            parked[old] = i
+                            parked_at[i] = park_no
+                            old, i = slot_of.popitem(last=False)
                 evictions += 1
                 if was_fallback:
                     fallbacks += 1
@@ -222,8 +313,16 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                     event_log.append(("evict", t, old, protected[i], was_fallback))
             slot_page[i] = page
             slot_of[page] = i
-            ref[i] = 1
             protected[i] = prot
+            loaded[i] = physical
+            if prot > t:
+                n_protected += 1
+                ref[i] = 3
+                expiries.append((prot, i, physical))
+                if len(expiries) > 2 * frames:
+                    expiries = deque(e for e in expiries if loaded[e[1]] == e[2])
+            else:
+                ref[i] = 1
             if op == "write":
                 dirty[i] = 1
                 first_dirt[i] = t
@@ -266,6 +365,9 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
         raise ConfigError(f"write_fraction must be in [0, 1], got {write_fraction}")
     if not ops_per_second > 0:
         raise ConfigError(f"ops_per_second must be > 0, got {ops_per_second}")
+    if n_ops > 1 and not (n_ops - 1) / ops_per_second < math.inf:
+        raise ConfigError(f"ops_per_second {ops_per_second} puts the last of {n_ops} ops "
+                          "at an infinite time")
     if n_ops == 0:
         return []
     import numpy as np  # here, not at module level: analytic commands never need it
@@ -273,19 +375,22 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
     # LCG states vectorized: state_k = A^k * seed + (1 + A + ... + A^(k-1)) * C
     n = 2 * n_ops
     mult = np.uint64(LCG_MULT)
-    apow = np.cumprod(np.full(n, mult, dtype=np.uint64))
-    geo = np.cumsum(np.concatenate((np.ones(1, dtype=np.uint64), apow[:-1])),
-                    dtype=np.uint64)
-    states = apow * np.uint64(seed & _U64) + geo * np.uint64(LCG_INC)
-    uniforms = (states >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    try:
+        apow = np.cumprod(np.full(n, mult, dtype=np.uint64))
+        geo = np.cumsum(np.concatenate((np.ones(1, dtype=np.uint64), apow[:-1])),
+                        dtype=np.uint64)
+        states = apow * np.uint64(seed & _U64) + geo * np.uint64(LCG_INC)
+        uniforms = (states >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    weights = 1.0 / np.arange(1, n_pages + 1, dtype=np.float64) ** zipf_s
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    ranks = np.searchsorted(cdf, uniforms[0::2], side="right")
-    ranks = np.minimum(ranks, n_pages - 1) + 1  # 1-based rank ids
-    writes = uniforms[1::2] < write_fraction
-    times = np.arange(n_ops, dtype=np.float64) / ops_per_second
+        weights = 1.0 / np.arange(1, n_pages + 1, dtype=np.float64) ** zipf_s
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        ranks = np.searchsorted(cdf, uniforms[0::2], side="right")
+        ranks = np.minimum(ranks, n_pages - 1) + 1  # 1-based rank ids
+        writes = uniforms[1::2] < write_fraction
+        times = np.arange(n_ops, dtype=np.float64) / ops_per_second
+    except MemoryError:
+        raise ConfigError(f"{n_ops} ops over {n_pages} pages do not fit in memory") from None
 
     return [TraceEvent(t, int(r), "write" if w else "read")
             for t, r, w in zip(times.tolist(), ranks.tolist(), writes.tolist())]

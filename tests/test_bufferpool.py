@@ -2,6 +2,7 @@ import bisect
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -156,6 +157,9 @@ def test_generate_trace_empty_and_validation():
         generate_trace(1, 10, 10, write_fraction=1.5)
     with pytest.raises(ConfigError):
         generate_trace(1, 10, 10, ops_per_second=0)
+    with pytest.raises(ConfigError):  # the last time, 2 / 1e-320, is inf
+        generate_trace(1, 3, 3, ops_per_second=1e-320)
+    assert generate_trace(1, 1, 3, ops_per_second=1e-320)[0].time_s == 0.0
 
 
 def test_generate_trace_deterministic():
@@ -320,6 +324,57 @@ def test_times_at_checkpoint_boundaries_match_brute_force(cp, k0, steps, frames,
         got = simulate(trace, PoolConfig(frames=frames, base_policy=policy,
                                          n_minute_s=n, checkpoint_interval_s=cp))
         assert got == brute_force_simulate(trace, frames, policy, n, cp), policy
+
+
+# N is a tenth or half of the trace's span (some frames protected, some
+# protections lapsing while the LRU scan holds their pages parked) or
+# beyond it (every re-read protected, most evictions fallbacks); with
+# 50-200 events and up to 16 frames more than 2 * frames protections
+# often queue up, so the queue's compaction runs.  The first example reloads a
+# slot unprotected while its earlier protected load is still queued to
+# lapse; in the second, two fallbacks leave three protections queued for
+# one frame, and only the last must survive the compaction to lapse at 14.
+@settings(deadline=None)
+@example(steps=[(0.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 3, "read"),
+                (8.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 2, "read")],
+         frames=1, n_share=0.5)
+@example(steps=[(0.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 2, "read"),
+                (1.0, 1, "read"), (11.0, 3, "read"), (5.0, 3, "read")],
+         frames=1, n_share=0.5)
+@given(steps=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+                                st.integers(1, 24),
+                                st.sampled_from(["read", "write"])), min_size=50, max_size=200),
+       frames=st.integers(1, 16),
+       n_share=st.sampled_from([0.1, 0.5, 2.0]))
+def test_partly_and_fully_protected_pools_match_brute_force(steps, frames, n_share):
+    trace = []
+    t = 0.0
+    for step, page, op in steps:
+        t += step
+        trace.append(TraceEvent(t, page, op))
+    n = n_share * t
+    for policy in ("lru", "clock2"):
+        for cp in (None, 7.0):
+            log = []
+            got = simulate(trace, PoolConfig(frames=frames, base_policy=policy,
+                                             n_minute_s=n, checkpoint_interval_s=cp),
+                           event_log=log)
+            assert got == brute_force_simulate(trace, frames, policy, n, cp), (policy, cp)
+            for _, when, page, protected_until, was_fallback in log:
+                assert was_fallback or protected_until <= when, (policy, when, page)
+
+
+def test_auxiliary_state_stays_bounded_when_every_frame_is_protected():
+    # every load re-reads a page within N, so protections pile up behind
+    # the fallback evictions; only the last one per frame may be kept
+    for policy in ("lru", "clock2"):
+        tracemalloc.start()
+        rep = simulate(((float(k), k % 3, "read") for k in range(5000)),
+                       PoolConfig(frames=2, base_policy=policy, n_minute_s=1e9))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rep.protected_eviction_fallbacks == 4995
+        assert peak < 64 * 1024, (policy, peak)
 
 
 def test_single_frame_misses_everything_iff_no_consecutive_repeats():

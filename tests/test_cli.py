@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -22,13 +23,21 @@ def csv_rows(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def run_cold(*argv):
-    """Run ``python <argv>`` in a fresh interpreter that imports this source tree."""
+def run_cold(*argv, address_space=None):
+    """Run ``python <argv>`` in a fresh interpreter that imports this source tree.
+
+    address_space caps the child's virtual memory in bytes, so that a
+    huge allocation fails at once even where the host overcommits.
+    """
     src = os.path.dirname(os.path.dirname(bufferpool.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = None
+    if address_space is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=30)
+                          text=True, timeout=30, preexec_fn=limit)
 
 
 def test_breakeven_dell_preset():
@@ -261,6 +270,17 @@ def test_gen_trace_rejects_nan_zipf_exit_2():
                "--zipf-s", "nan") == (2, "")
 
 
+def test_gen_trace_sizes_it_cannot_represent_exit_2():
+    # 2 / 1e-320 overflows to an infinite time
+    assert run("gen-trace", "--seed", "1", "--ops", "3", "--pages", "3",
+               "--ops-per-second", "1e-320") == (2, "")
+    # the LCG states alone would take 14.6 TiB
+    proc = run_cold("-m", "storage_rules.cli", "gen-trace", "--seed", "1",
+                    "--ops", "1000000000000", "--pages", "3", address_space=1 << 30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_gen_trace_unwritable_out_exits_2(tmp_path, capsys):
     for out in (tmp_path / "missing" / "t.csv", tmp_path):
         assert run("gen-trace", "--seed", "1", "--ops", "5", "--pages", "3",
@@ -276,6 +296,16 @@ def test_simulate_three_event_example(tmp_path):
     assert code == 0
     _, (row,) = csv_rows(out)
     assert row == ["3", "3", "0", "2", "0", "0", "0"]
+
+
+def test_simulate_frames_far_beyond_the_trace(tmp_path):
+    # per-slot state grows as the pool fills, so the pool size costs nothing
+    trace_path = tmp_path / "one.csv"
+    trace_path.write_text("time,page,op\n0,A,r\n", encoding="utf-8")
+    proc = run_cold("-m", "storage_rules.cli", "simulate", "--trace", str(trace_path),
+                    "--frames", "1000000000000", "--format", "csv", address_space=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert csv_rows(proc.stdout)[1] == [["1", "1", "0", "0", "0", "0", "0"]]
 
 
 def test_simulate_input_errors_exit_3(tmp_path):
