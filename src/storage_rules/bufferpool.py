@@ -68,21 +68,35 @@ the first page in recency order.
 
 So each eviction does O(1) amortised Python work whatever share of
 frames is protected.  The FIFO drops its stale entries whenever it
-passes 2 * frames entries.  The heap needs no such step: it holds at
-most one entry per slot, since a slot's entry leaves it before the slot
-is reloaded (a slot is evicted through its entry, by the recency scan,
-which runs only once the heap is empty, or in a fallback, which never
-takes a frame whose protection has lapsed).  Per-slot state grows as
-the pool fills, so frames beyond the trace's distinct pages cost
-nothing.
+passes 2 * frames entries, and so does the checkpoint queue of
+dirtyings, keeping one entry per slot still dirty since that entry's
+time, so it stays O(frames) even when no boundary comes.  The heap
+needs no such step: it holds at most one entry per slot, since a slot's
+entry leaves it before the slot is reloaded (a slot is evicted through
+its entry, by the recency scan, which runs only once the heap is empty,
+or in a fallback, which never takes a frame whose protection has
+lapsed).  Per-slot state grows as the pool fills, so frames beyond the
+trace's distinct pages cost nothing.
+
+Traces.  A Trace holds a trace as three columns (times, dense page ids
+with an id -> label table, write flags); simulate keys its state by the
+dense ids and reports labels in the event log.  Any other iterable of
+(time, page, op) is run as it is, keyed by its pages.  read_trace_csv
+splits whole blocks of plain lines at once and parses any other block
+line by line, so what it accepts and the errors it reports are those of
+a line-by-line reader.
 """
 from __future__ import annotations
 
 import io
 import math
+import operator
 import sys
+from array import array
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .rules import EconomicParams, TechnologyParams, break_even_interval
@@ -112,6 +126,48 @@ class TraceEvent(NamedTuple):
     time_s: float
     page_id: object
     op: str  # "read" | "write"
+
+
+_OP_NAMES = ("read", "write")  # indexed by a write flag
+
+
+class Trace(Sequence):
+    """A trace held as three columns rather than one object per event.
+
+    times is an array('d') of event times; ids an array('i') (or 'q') of
+    dense page ids, one per distinct page, where labels[id] is the page
+    as given (an int from generate_trace, a str from read_trace_csv);
+    is_write holds one byte per event, 1 for a write.  It reads as a sequence of TraceEvent with
+    the original labels: slicing gives a Trace, and == compares it event
+    by event with any sequence.
+    """
+    __slots__ = ("times", "ids", "labels", "is_write")
+
+    def __init__(self, times: array, ids: array, labels: Sequence, is_write: bytes):
+        self.times, self.ids, self.labels, self.is_write = times, ids, labels, is_write
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trace(self.times[k], self.ids[k], self.labels, self.is_write[k])
+        return TraceEvent(self.times[k], self.labels[self.ids[k]], _OP_NAMES[self.is_write[k]])
+
+    def __iter__(self):
+        return map(TraceEvent, self.times, map(self.labels.__getitem__, self.ids),
+                   map(_OP_NAMES.__getitem__, self.is_write))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def keyed(self):
+        """(time, dense page id, op) per event: what simulate iterates."""
+        return zip(self.times, self.ids, map(_OP_NAMES.__getitem__, self.is_write))
 
 
 @dataclass(frozen=True)
@@ -154,10 +210,16 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
              event_log: list | None = None) -> SimReport:
     """Run the pool over a time-ordered trace and return the counters.
 
-    event_log, when given, receives one
-    ("evict", time, page, protected_until, was_fallback) tuple per
-    eviction, for auditing the protection guarantee.
+    trace is a Trace, whose dense page ids key the pool's state, or any
+    iterable of (time, page, op), whose pages do.  event_log, when given,
+    receives one ("evict", time, page, protected_until, was_fallback)
+    tuple per eviction, for auditing the protection guarantee; page is
+    the label the trace gave.
     """
+    if isinstance(trace, Trace):
+        events, label = trace.keyed(), trace.labels.__getitem__
+    else:
+        events, label = trace, None
     frames = config.frames
     n_lifetime = config.n_minute_s
     cp = config.checkpoint_interval_s
@@ -186,13 +248,14 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     park_no = 0
     # (first_dirt, slot) per clean-to-dirty change; popping skips stale ones
     dirtied = deque(maxlen=0 if cp is None else None)
+    queue_cap = 2 * frames  # expiries and dirtied drop stale entries beyond it
     hand = 0
     logical = physical = evictions = contention = checkpoints = fallbacks = 0
     inf = math.inf
     next_boundary = cp if cp is not None else inf
     prev_t = -sys.float_info.max  # below every finite time, above -inf
 
-    for t, page, op in trace:
+    for t, page, op in events:
         if not prev_t <= t < inf:  # also false for NaN
             if math.isfinite(t):
                 raise TraceOrderError(f"trace is not time-ordered: {t} after {prev_t}")
@@ -232,6 +295,8 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 dirty[i] = 1
                 first_dirt[i] = t
                 dirtied.append((t, i))
+                if len(dirtied) > queue_cap:
+                    dirtied = _live_dirt(dirtied, dirty, first_dirt)
         else:
             physical += 1
             last = history.get(page)
@@ -310,7 +375,8 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 if dirty[i]:
                     contention += 1
                 if event_log is not None:
-                    event_log.append(("evict", t, old, protected[i], was_fallback))
+                    event_log.append(("evict", t, old if label is None else label(old),
+                                      protected[i], was_fallback))
             slot_page[i] = page
             slot_of[page] = i
             protected[i] = prot
@@ -319,7 +385,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 n_protected += 1
                 ref[i] = 3
                 expiries.append((prot, i, physical))
-                if len(expiries) > 2 * frames:
+                if len(expiries) > queue_cap:
                     expiries = deque(e for e in expiries if loaded[e[1]] == e[2])
             else:
                 ref[i] = 1
@@ -327,6 +393,8 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 dirty[i] = 1
                 first_dirt[i] = t
                 dirtied.append((t, i))
+                if len(dirtied) > queue_cap:
+                    dirtied = _live_dirt(dirtied, dirty, first_dirt)
             else:
                 dirty[i] = 0
         history[page] = t
@@ -338,6 +406,12 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                      fallbacks, hit_ratio)
 
 
+def _live_dirt(dirtied: deque, dirty: bytearray, first_dirt: list) -> deque:
+    """The queue's entries whose slot is still dirty since their time, one per slot."""
+    live = {i: d for d, i in dirtied if dirty[i] and first_dirt[i] == d}
+    return deque((d, i) for i, d in live.items())
+
+
 def recommended_n(tp: TechnologyParams, ep: EconomicParams) -> float:
     """Economically justified lifetime N: the break-even reference interval."""
     return break_even_interval(tp, ep).interval_s
@@ -345,7 +419,7 @@ def recommended_n(tp: TechnologyParams, ep: EconomicParams) -> float:
 
 def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
                    write_fraction: float = 0.0,
-                   ops_per_second: float = 1.0) -> list[TraceEvent]:
+                   ops_per_second: float = 1.0) -> Trace:
     """Deterministic synthetic trace: Zipf(s) page popularity, fixed op rate.
 
     The stream is reproducible bit for bit from the seed: a 64-bit LCG
@@ -353,7 +427,8 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
     2**64) supplies uniforms from the top 53 bits of each new state; per
     op the first uniform picks a page rank by inverse CDF over
     Zipf(zipf_s) (s=0 is uniform), the second makes it a write when below
-    write_fraction.  Event k happens at k / ops_per_second.
+    write_fraction.  Event k happens at k / ops_per_second.  Page ids
+    are the ranks 1..n_pages.
     """
     if n_pages <= 0:
         raise ConfigError(f"n_pages must be > 0, got {n_pages}")
@@ -368,8 +443,10 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
     if n_ops > 1 and not (n_ops - 1) / ops_per_second < math.inf:
         raise ConfigError(f"ops_per_second {ops_per_second} puts the last of {n_ops} ops "
                           "at an infinite time")
+    labels = range(1, n_pages + 1)  # dense id k is rank k + 1
+    id_code = "i" if n_pages <= 2**31 else "q"
     if n_ops == 0:
-        return []
+        return Trace(array("d"), array(id_code), labels, b"")
     import numpy as np  # here, not at module level: analytic commands never need it
 
     # LCG states vectorized: state_k = A^k * seed + (1 + A + ... + A^(k-1)) * C
@@ -386,38 +463,91 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         ranks = np.searchsorted(cdf, uniforms[0::2], side="right")
-        ranks = np.minimum(ranks, n_pages - 1) + 1  # 1-based rank ids
+        ids = np.minimum(ranks, n_pages - 1).astype(id_code)  # 0-based ranks
         writes = uniforms[1::2] < write_fraction
         times = np.arange(n_ops, dtype=np.float64) / ops_per_second
     except MemoryError:
         raise ConfigError(f"{n_ops} ops over {n_pages} pages do not fit in memory") from None
-
-    return [TraceEvent(t, int(r), "write" if w else "read")
-            for t, r, w in zip(times.tolist(), ranks.tolist(), writes.tolist())]
+    return Trace(array("d", times.tobytes()), array(id_code, ids.tobytes()), labels,
+                 writes.tobytes())
 
 
 # --- trace and report serialization ---------------------------------------
 
-_OPS_IN = {"r": "read", "w": "write"}
 _OPS_OUT = {"read": "r", "write": "w"}
+_WRITE_ROWS = 1 << 16  # rows formatted per write
+_READ_CHARS = 1 << 20  # characters read per block, then up to the next newline
+_OP_FLAG = {"r": 0, "w": 1}
 
 
 def write_trace_csv(trace: Iterable[TraceEvent], fh: io.TextIOBase) -> None:
     """Trace CSV: header ``time,page,op``; op is r/w.
 
     Times keep full precision (repr) so a written trace replays exactly.
+    Rows are formatted and written a block at a time.
     """
     fh.write(TRACE_HEADER + "\n")
-    for t, page, op in trace:
-        fh.write(f"{t!r},{page},{_OPS_OUT[op]}\n")
+    if isinstance(trace, Trace):
+        rows = zip(trace.times, map(trace.labels.__getitem__, trace.ids),
+                   map(("r", "w").__getitem__, trace.is_write))
+    else:
+        rows = ((t, page, _OPS_OUT[op]) for t, page, op in trace)
+    while block := "".join([f"{t!r},{page},{op}\n" for t, page, op in islice(rows, _WRITE_ROWS)]):
+        fh.write(block)
 
 
-def read_trace_csv(fh: io.TextIOBase) -> list[TraceEvent]:
+def read_trace_csv(fh: io.TextIOBase) -> Trace:
+    """Read a trace CSV into a Trace whose page labels are strings.
+
+    The file is read in blocks of whole lines.  A block of plain
+    ``time,page,r|w`` lines is split at once; any other block is parsed
+    line by line, which skips blank lines, strips each line and reports
+    the first bad line by its number.
+    """
     header = fh.readline().rstrip("\n").rstrip("\r")
     if header != TRACE_HEADER:
         raise ValueError(f"trace file must start with {TRACE_HEADER!r}, got {header!r}")
-    events = []
-    for lineno, line in enumerate(fh, start=2):
+    times, ids, is_write = array("d"), array("i"), bytearray()
+    id_of: dict = {}  # page label -> dense id
+    intern = id_of.setdefault
+    lineno = 2
+    while block := fh.read(_READ_CHARS):
+        if not block.endswith("\n"):
+            block += fh.readline()
+            if not block.endswith("\n"):  # the file's last line
+                block += "\n"
+        lines = block.count("\n")
+        t_col, pages, w_col = _split_block(block, lines) or _parse_lines(block, lineno)
+        times.extend(t_col)
+        ids.extend([intern(page, len(id_of)) for page in pages])
+        is_write.extend(w_col)
+        lineno += lines
+    return Trace(times, ids, list(id_of), is_write)
+
+
+def _split_block(block: str, lines: int):
+    """(times, pages, write flags) of a block of plain lines, else None.
+
+    Each of the block's newlines becomes a field of its own, so the
+    split is right only if there are four fields per newline and every
+    fourth one is a newline: then each line has exactly three fields.
+    """
+    fields = block.replace("\n", ",\n,").split(",")
+    fields.pop()  # the empty field after the last newline
+    if len(fields) != 4 * lines or fields[3::4].count("\n") != lines:
+        return None
+    try:
+        flags = bytes(map(_OP_FLAG.__getitem__, fields[2::4]))
+        times = array("d", map(float, fields[0::4]))
+    except (KeyError, ValueError):
+        return None
+    return times, fields[1::4], flags
+
+
+def _parse_lines(block: str, lineno: int):
+    """(times, pages, write flags) of a block, line by line; the first bad line raises."""
+    times, pages, flags = [], [], bytearray()
+    for lineno, line in enumerate(block.split("\n"), start=lineno):
         line = line.strip()
         if not line:
             continue
@@ -429,8 +559,10 @@ def read_trace_csv(fh: io.TextIOBase) -> list[TraceEvent]:
             t = float(t_raw)
         except ValueError:
             raise ValueError(f"line {lineno}: bad time {t_raw!r}") from None
-        op = _OPS_IN.get(op_raw)
-        if op is None:
+        flag = _OP_FLAG.get(op_raw)
+        if flag is None:
             raise ValueError(f"line {lineno}: op must be r or w, got {op_raw!r}")
-        events.append(TraceEvent(t, page, op))
-    return events
+        times.append(t)
+        pages.append(page)
+        flags.append(flag)
+    return times, pages, flags

@@ -5,13 +5,15 @@ with linear scans and per-access recomputation everywhere; it shares no
 code or data structures with the production simulator.  `plain_lru` and
 `plain_clock2` are the bare base policies (dirty tracking and
 checkpoints, but no recency-list protection), for checking that N=0
-degenerates to them.
+degenerates to them.  `line_by_line_read_trace_csv` reads a trace CSV
+one line at a time into a list of events, the way the block reader must
+behave on every input.
 """
 from __future__ import annotations
 
 import random
 
-from storage_rules.bufferpool import SimReport, TraceEvent
+from storage_rules.bufferpool import TRACE_HEADER, SimReport, TraceEvent
 
 
 class _Frame:
@@ -210,5 +212,29 @@ def random_trace(rng: random.Random, max_events=200, max_pages=12,
             t += rng.random() * max_step
         page = rng.randrange(1, max_pages + 1)
         op = "write" if rng.random() < write_prob else "read"
+        events.append(TraceEvent(t, page, op))
+    return events
+
+
+def line_by_line_read_trace_csv(fh) -> list[TraceEvent]:
+    header = fh.readline().rstrip("\n").rstrip("\r")
+    if header != TRACE_HEADER:
+        raise ValueError(f"trace file must start with {TRACE_HEADER!r}, got {header!r}")
+    events = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        t_raw, page, op_raw = parts
+        try:
+            t = float(t_raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad time {t_raw!r}") from None
+        op = {"r": "read", "w": "write"}.get(op_raw)
+        if op is None:
+            raise ValueError(f"line {lineno}: op must be r or w, got {op_raw!r}")
         events.append(TraceEvent(t, page, op))
     return events

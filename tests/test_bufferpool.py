@@ -1,5 +1,6 @@
 import bisect
 import io
+from array import array
 import math
 import random
 import tracemalloc
@@ -7,11 +8,18 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_sim import brute_force_simulate, plain_base_policy, random_trace
+from reference_sim import (
+    brute_force_simulate,
+    line_by_line_read_trace_csv,
+    plain_base_policy,
+    random_trace,
+)
 from storage_rules import bufferpool, rules
 from storage_rules.bufferpool import (
+    TRACE_HEADER,
     ConfigError,
     PoolConfig,
+    Trace,
     TraceEvent,
     TraceOrderError,
     generate_trace,
@@ -364,6 +372,45 @@ def test_partly_and_fully_protected_pools_match_brute_force(steps, frames, n_sha
                 assert was_fallback or protected_until <= when, (policy, when, page)
 
 
+# A Trace keys the pool by dense ids, a list of events by the labels
+# themselves: both must give the same run, eviction log and CSV.  The
+# Trace comes from a CSV of the steps (str labels) and from the generator
+# (int labels).
+@settings(deadline=None, max_examples=60)
+@given(steps=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+                                st.integers(1, 12),
+                                st.sampled_from(["read", "write"])), max_size=120),
+       seed=st.integers(0, 2**64 - 1),
+       frames=st.integers(1, 8),
+       n=st.sampled_from([0.5, 3.0, 50.0]))
+def test_trace_and_its_event_list_give_the_same_run(steps, seed, frames, n):
+    events, t = [], 0.0
+    for step, page, op in steps:
+        t += step
+        events.append(TraceEvent(t, page, op))
+    buf = io.StringIO()
+    write_trace_csv(events, buf)
+    from_csv = read_trace_csv(io.StringIO(buf.getvalue()))
+    generated = generate_trace(seed, len(steps), 12, zipf_s=0.8, write_fraction=0.4,
+                               ops_per_second=2.0)
+    for trace in (from_csv, generated):
+        as_list = list(trace)
+        assert trace == as_list
+        csv_of = []
+        for source in (trace, as_list):
+            buf = io.StringIO()
+            write_trace_csv(source, buf)
+            csv_of.append(buf.getvalue())
+        assert csv_of[0] == csv_of[1]
+        for policy in ("lru", "clock2"):
+            for cp in (None, 4.0):
+                config = PoolConfig(frames=frames, base_policy=policy, n_minute_s=n,
+                                    checkpoint_interval_s=cp)
+                log, list_log = [], []
+                assert simulate(trace, config, log) == simulate(as_list, config, list_log)
+                assert log == list_log, (policy, cp)
+
+
 def test_auxiliary_state_stays_bounded_when_every_frame_is_protected():
     # every load re-reads a page within N, so protections pile up behind
     # the fallback evictions; only the last one per frame may be kept
@@ -374,6 +421,19 @@ def test_auxiliary_state_stays_bounded_when_every_frame_is_protected():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rep.protected_eviction_fallbacks == 4995
+        assert peak < 64 * 1024, (policy, peak)
+
+
+def test_checkpoint_queue_stays_bounded_when_no_boundary_is_reached():
+    # every load dirties its frame and C outlasts the trace, so no
+    # checkpoint ever pops the queue of dirtyings; only live ones may stay
+    for policy in ("lru", "clock2"):
+        tracemalloc.start()
+        rep = simulate(((float(k), k % 3, "write") for k in range(5000)),
+                       PoolConfig(frames=2, base_policy=policy, checkpoint_interval_s=1e9))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (rep.physical_reads, rep.contention_flushes, rep.checkpoint_flushes) == (5000, 4998, 2)
         assert peak < 64 * 1024, (policy, peak)
 
 
@@ -443,6 +503,86 @@ def test_read_trace_csv_errors():
         read_trace_csv(io.StringIO("time,page,op\nxx,2,r\n"))
     with pytest.raises(ValueError, match="op"):
         read_trace_csv(io.StringIO("time,page,op\n1,2,z\n"))
+
+
+def test_read_trace_csv_rejects_lines_whose_fields_regroup_into_events():
+    # taken as one stream of fields, each of these regroups into whole
+    # time,page,op events; line by line they are malformed
+    for lines, got in ((["1,A,r,X,5,P,w"], 7), (["5,r", "w,6,B,r"], 2),
+                       (["1,A,r,X,5,P,w", "7", "w"], 7)):
+        for copies in (1, 50_000):  # a short block and a long one
+            text = "time,page,op\n" + "0,A,r\n" * copies + "\n".join(lines) + "\n"
+            with pytest.raises(ValueError) as err:
+                read_trace_csv(io.StringIO(text))
+            bad = next(k for k, line in enumerate(lines) if line.count(",") != 2)
+            assert str(err.value) == f"line {copies + 2 + bad}: expected 3 fields, got {got}"
+
+
+def test_trace_reads_as_a_sequence_of_events():
+    events = [TraceEvent(0.0, 3, "read"), TraceEvent(0.5, 1, "write"), TraceEvent(2.0, 3, "write")]
+    trace = Trace(array("d", [0.0, 0.5, 2.0]), array("i", [0, 1, 0]), [3, 1], b"\x00\x01\x01")
+    assert len(trace) == 3 and list(trace) == events and trace == events
+    assert trace[1] == events[1] and trace[-1] == events[-1]
+    assert isinstance(trace[1:], Trace) and trace[1:] == events[1:] and trace[::2] == events[::2]
+    assert trace != events[:2] and trace != events[:2] + [TraceEvent(2.0, 3, "read")]
+    assert [page for _, page, _ in trace] == [3, 1, 3]
+    assert generate_trace(1, 0, 10) == [] and read_trace_csv(io.StringIO("time,page,op\n")) == []
+
+
+def test_read_trace_csv_pages_are_strings():
+    text = "time,page,op\n" + "0,7,r\n1,007,w\n" * 100_000  # a block split at once
+    for trace in (read_trace_csv(io.StringIO(text)),
+                  read_trace_csv(io.StringIO("time,page,op\n0,7,r\n1,007,w\n\n"))):
+        assert trace[0] == (0.0, "7", "read") and trace[1] == (1.0, "007", "write")
+        assert {type(page) for _, page, _ in trace} == {str}
+        assert len(trace.labels) == 2
+
+
+def _in_file(tmp_path, text):
+    """A file of `text`, opened for reading as the CLI opens a trace."""
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    return open(path, encoding="utf-8")
+
+
+def _read(fh_of, text, reader=read_trace_csv):
+    """The events `reader` finds in `text`, or its error message."""
+    with fh_of(text) as fh:
+        try:
+            return reader(fh)
+        except ValueError as err:
+            return str(err)
+
+
+# Each case is placed so that the reader's first block ends `at`
+# characters into it; the lines before it are plain, so only the case can
+# send its block down the line-by-line path.
+@pytest.mark.parametrize("case", [
+    "1,A\n",          # malformed: two fields
+    "5,B,w\r\n",      # CRLF line ending
+    "\n \t\n",        # blank lines
+    "3,C,x\n",        # bad op
+    "y,D,r\n",        # bad time
+])
+@pytest.mark.parametrize("opened", ["stringio", "file"])
+def test_read_trace_csv_block_edges_match_line_by_line(case, opened, tmp_path):
+    fh_of = io.StringIO if opened == "stringio" else lambda text: _in_file(tmp_path, text)
+    head, tail = TRACE_HEADER + "\n", "9,Z,r\n"
+    want = _read(fh_of, head + case + tail, line_by_line_read_trace_csv)
+    assert _read(fh_of, head + case + tail) == want
+    for at in sorted({0, len(case) // 2, len(case) - 1, len(case)}):
+        # plain lines of 32 characters, the last one padded to fill the block
+        n, rest = divmod(bufferpool._READ_CHARS - at, 32)
+        pad = "0," + "A" * (27 + rest) + ",r\n"
+        text = head + ("0," + "A" * 27 + ",r\n") * (n - 1) + pad + case + tail
+        assert text.index(case, len(text) - 20) == len(head) + bufferpool._READ_CHARS - at
+        got = _read(fh_of, text)
+        if isinstance(want, str):  # the case is on line n + 2
+            assert got == want.replace("line 2:", f"line {n + 2}:", 1), at
+        else:
+            assert not isinstance(got, str), (at, got)
+            assert len(got) == n + len(want), at
+            assert got[n - 1] == (0.0, pad[2:-3], "read") and got[n:] == want, at
 
 
 def test_report_csv_shape():

@@ -404,6 +404,17 @@ def test_analytic_commands_do_not_import_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_simulate_does_not_import_numpy(tmp_path):
+    trace_path = tmp_path / "aba.csv"
+    trace_path.write_text("time,page,op\n0,A,r\n1,B,w\n2,A,r\n", encoding="utf-8")
+    proc = run_cold("-c", "import io, sys; from storage_rules.cli import main; "
+                          f"code = main(['simulate', '--trace', {str(trace_path)!r}, "
+                          "'--frames', '1', '--format', 'csv'], out=io.StringIO()); "
+                          "print(code, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 # Numeric flags of the analytic commands, one mode per entry.
 ANALYTIC_FLAGS = [
     (["breakeven", "--device", "dell_tpcc_1997"], ["--page-bytes", "--ram-price"]),
