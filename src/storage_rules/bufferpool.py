@@ -80,7 +80,8 @@ trace's distinct pages cost nothing.
 
 Traces.  A Trace holds a trace as three columns (times, dense page ids
 with an id -> label table, write flags); simulate keys its state by the
-dense ids and reports labels in the event log.  Any other iterable of
+dense ids, keeps the last touch of each page in a flat list indexed by
+them, and reports labels in the event log.  Any other iterable of
 (time, page, op) is run as it is, keyed by its pages.  read_trace_csv
 splits whole blocks of plain lines at once and parses any other block
 line by line, so what it accepts and the errors it reports are those of
@@ -93,7 +94,7 @@ import math
 import operator
 import sys
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
@@ -216,10 +217,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     tuple per eviction, for auditing the protection guarantee; page is
     the label the trace gave.
     """
+    # history: page -> time of its last touch, -inf before the first
     if isinstance(trace, Trace):
         events, label = trace.keyed(), trace.labels.__getitem__
+        history = [-math.inf] * len(trace.labels)
     else:
         events, label = trace, None
+        history = defaultdict(lambda: -math.inf)
     frames = config.frames
     n_lifetime = config.n_minute_s
     cp = config.checkpoint_interval_s
@@ -227,7 +231,6 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
 
     from heapq import heappop, heappush  # here: analytic commands never need it
 
-    history: dict = {}
     # page -> slot of each resident page but the parked ones; under LRU the
     # order is recency, least recent first
     slot_of = OrderedDict() if lru else {}
@@ -299,8 +302,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                     dirtied = _live_dirt(dirtied, dirty, first_dirt)
         else:
             physical += 1
-            last = history.get(page)
-            prot = t + n_lifetime if (last is not None and last >= t - n_lifetime) else t
+            prot = t + n_lifetime if history[page] >= t - n_lifetime else t
             if len(slot_page) < frames:
                 i = len(slot_page)
                 slot_page.append(None)
