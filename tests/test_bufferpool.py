@@ -1,9 +1,9 @@
 import bisect
 import io
-from array import array
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
