@@ -199,12 +199,16 @@ class SimReport:
     protected_eviction_fallbacks: int
     hit_ratio: float
 
+    def row(self) -> tuple:
+        """The counters in REPORT_HEADER's column order."""
+        return (self.logical_accesses, self.physical_reads, self.hit_ratio,
+                self.evictions, self.contention_flushes, self.checkpoint_flushes,
+                self.protected_eviction_fallbacks)
+
     def csv(self) -> str:
-        return (f"{REPORT_HEADER}\n"
-                f"{self.logical_accesses},{self.physical_reads},"
-                f"{self.hit_ratio:.6g},{self.evictions},"
-                f"{self.contention_flushes},{self.checkpoint_flushes},"
-                f"{self.protected_eviction_fallbacks}\n")
+        return f"{REPORT_HEADER}\n" + ",".join(
+            format(cell, ".6g") if isinstance(cell, float) else str(cell)
+            for cell in self.row()) + "\n"
 
 
 def simulate(trace: Iterable[tuple], config: PoolConfig,
@@ -504,26 +508,32 @@ def read_trace_csv(fh: io.TextIOBase) -> Trace:
     The file is read in blocks of whole lines.  A block of plain
     ``time,page,r|w`` lines is split at once; any other block is parsed
     line by line, which skips blank lines, strips each line and reports
-    the first bad line by its number.
+    the first bad line by its number.  Invalid UTF-8 names the first line
+    of the block being read, as the decoder reads ahead, and so pre-empts
+    a malformed line earlier in that block.
     """
-    header = fh.readline().rstrip("\n").rstrip("\r")
-    if header != TRACE_HEADER:
-        raise ValueError(f"trace file must start with {TRACE_HEADER!r}, got {header!r}")
-    times, ids, is_write = array("d"), array("i"), bytearray()
-    id_of: dict = {}  # page label -> dense id
-    intern = id_of.setdefault
-    lineno = 2
-    while block := fh.read(_READ_CHARS):
-        if not block.endswith("\n"):
-            block += fh.readline()
-            if not block.endswith("\n"):  # the file's last line
-                block += "\n"
-        lines = block.count("\n")
-        t_col, pages, w_col = _split_block(block, lines) or _parse_lines(block, lineno)
-        times.extend(t_col)
-        ids.extend([intern(page, len(id_of)) for page in pages])
-        is_write.extend(w_col)
-        lineno += lines
+    lineno = 1  # the first line of the text being read
+    try:
+        header = fh.readline().rstrip("\n").rstrip("\r")
+        if header != TRACE_HEADER:
+            raise ValueError(f"trace file must start with {TRACE_HEADER!r}, got {header!r}")
+        times, ids, is_write = array("d"), array("i"), bytearray()
+        id_of: dict = {}  # page label -> dense id
+        intern = id_of.setdefault
+        lineno = 2
+        while block := fh.read(_READ_CHARS):
+            if not block.endswith("\n"):
+                block += fh.readline()
+                if not block.endswith("\n"):  # the file's last line
+                    block += "\n"
+            lines = block.count("\n")
+            t_col, pages, w_col = _split_block(block, lines) or _parse_lines(block, lineno)
+            times.extend(t_col)
+            ids.extend([intern(page, len(id_of)) for page in pages])
+            is_write.extend(w_col)
+            lineno += lines
+    except UnicodeDecodeError as err:  # raised only by the reads
+        raise ValueError(f"line {lineno} or later: not UTF-8 ({err.reason})") from None
     return Trace(times, ids, list(id_of), is_write)
 
 

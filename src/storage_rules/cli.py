@@ -120,21 +120,12 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
         if dev.kind == "ram":
             raise _CliArgError("RAM is the cache side of the trade; "
                                "--device must name a disk or tape_robot")
-        if dev.kind == "disk":
-            spec = dev.spec
-            if page is None:
-                tp = rules.TechnologyParams(rules.BINARY_MB / RATED_PAGE_BYTES,
-                                            spec.accesses_per_sec)
-            else:
-                tp = rules.TechnologyParams(
-                    rules.BINARY_MB / page,
-                    1.0 / (spec.latency_s + page / spec.bandwidth_bps))
+        if dev.kind == "disk" and page is None:
+            tp = rules.TechnologyParams(rules.BINARY_MB / RATED_PAGE_BYTES,
+                                        dev.spec.accesses_per_sec)
         else:
-            spec = dev.spec
             page = RATED_PAGE_BYTES if page is None else page
-            tp = rules.TechnologyParams(
-                rules.BINARY_MB / page,
-                1.0 / (spec.mount_time_s + page / spec.bandwidth_bps))
+            tp = rules.TechnologyParams(rules.BINARY_MB / page, metrics.access_rate(dev, page))
         ram_price = args.ram_price
         if ram_price is None:
             companion = devices.ram_companion(dev.name)
@@ -372,10 +363,7 @@ def _cmd_simulate(args):
         report = bufferpool.simulate(trace, config)
     except bufferpool.TraceOrderError as err:
         raise _CliDataError(f"{args.trace}: {err}") from None
-    return (bufferpool.REPORT_HEADER,
-            [(report.logical_accesses, report.physical_reads, report.hit_ratio,
-              report.evictions, report.contention_flushes, report.checkpoint_flushes,
-              report.protected_eviction_fallbacks)], [])
+    return bufferpool.REPORT_HEADER, [report.row()], []
 
 
 # --- parser ----------------------------------------------------------------
@@ -514,11 +502,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         else:
             _render(args.func(args), args.format, out)
         return 0
-    # data errors first: DeviceFileError and TraceOrderError are ValueErrors
-    except (_CliDataError, devices.DeviceFileError, bufferpool.TraceOrderError) as err:
+    except _CliDataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    # ConfigError, UnknownPresetError, ...; OverflowError: a float result too large for an int
+    # ConfigError and other bad parameters; OverflowError: a float result too large for an int
     except (_CliArgError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -86,7 +86,10 @@ class TapeRobotSpec:
 
 Payload = RamSpec | DiskSpec | TapeRobotSpec
 
-_KIND_FOR_PAYLOAD = {RamSpec: "ram", DiskSpec: "disk", TapeRobotSpec: "tape_robot"}
+# kind -> payload class: the device-file `kind` key and DeviceSpec.kind
+_FIELDS_BY_KIND: dict[str, type] = {"ram": RamSpec, "disk": DiskSpec,
+                                    "tape_robot": TapeRobotSpec}
+_KIND_FOR_PAYLOAD = {cls: kind for kind, cls in _FIELDS_BY_KIND.items()}
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,6 @@ class DeviceSpec:
     @property
     def price_dollars(self) -> float:
         return self.spec.price_dollars
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return self.spec.bandwidth_bps
 
 
 def _ram(name: str, **kw) -> DeviceSpec:
@@ -194,8 +193,6 @@ def ram_companion(name: str) -> RamSpec | None:
 # Blocks start with `[device]`; keys are the field names of the kind's
 # spec dataclass.  Numbers accept scientific notation.
 
-_FIELDS_BY_KIND: dict[str, type] = {"ram": RamSpec, "disk": DiskSpec,
-                                    "tape_robot": TapeRobotSpec}
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 

@@ -81,8 +81,7 @@ def access_cost(page_bytes: float, model: PageCostModel) -> float:
 
 def benefit_cost(page_bytes: float, params: IndexParams, model: PageCostModel) -> float:
     """Utility per millisecond of access cost."""
-    return page_utility(entries_per_page(page_bytes, params)) / (
-        access_cost(page_bytes, model) * 1e3)
+    return evaluate_page(page_bytes, params, model).benefit_cost
 
 
 def evaluate_page(page_bytes: float, params: IndexParams,
@@ -90,7 +89,11 @@ def evaluate_page(page_bytes: float, params: IndexParams,
     entries = entries_per_page(page_bytes, params)
     utility = page_utility(entries)
     cost = access_cost(page_bytes, model)
-    return PageEvaluation(page_bytes, entries, utility, cost, utility / (cost * 1e3))
+    ratio = utility / (cost * 1e3)
+    if math.isnan(ratio):  # inf / inf
+        raise ValueError(f"page_bytes={page_bytes:.6g}: entries per page and access cost "
+                         "both overflow a float; benefit/cost is undefined")
+    return PageEvaluation(page_bytes, entries, utility, cost, ratio)
 
 
 def optimal_page_size(candidates: list[float], params: IndexParams,

@@ -43,23 +43,21 @@ class MetricReport:
     dollars_per_tbscan: float
 
 
-def _effective_latency(device: DeviceSpec) -> float:
+def access_rate(device: DeviceSpec, nbytes: float) -> float:
+    """Random accesses per second of nbytes each: latency (a tape mount) plus transfer."""
     spec = device.spec
-    return spec.mount_time_s if isinstance(spec, TapeRobotSpec) else spec.latency_s
-
-
-def _price(device: DeviceSpec) -> float:
-    return device.spec.price_dollars
+    latency = spec.mount_time_s if isinstance(spec, TapeRobotSpec) else spec.latency_s
+    return 1.0 / (latency + nbytes / spec.bandwidth_bps)
 
 
 def kaps(device: DeviceSpec) -> float:
     """Kilobyte accesses per second."""
-    return 1.0 / (_effective_latency(device) + KB / device.spec.bandwidth_bps)
+    return access_rate(device, KB)
 
 
 def maps(device: DeviceSpec) -> float:
     """Megabyte accesses per second."""
-    return 1.0 / (_effective_latency(device) + MB / device.spec.bandwidth_bps)
+    return access_rate(device, MB)
 
 
 def scan_seconds(device: DeviceSpec) -> float:
@@ -89,11 +87,11 @@ def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> flo
     stream_s = TB / spec.bandwidth_bps
     if isinstance(spec, TapeRobotSpec):
         stream_s += math.ceil(TB / spec.tape_capacity_bytes) * spec.mount_time_s
-    return dollar_rate(_price(device), rent) * stream_s
+    return dollar_rate(device.price_dollars, rent) * stream_s
 
 
 def metric_report(device: DeviceSpec, rent: RentModel = RentModel()) -> MetricReport:
-    rate = dollar_rate(_price(device), rent)
+    rate = dollar_rate(device.price_dollars, rent)
     k, m = kaps(device), maps(device)
     return MetricReport(
         device=device.name,

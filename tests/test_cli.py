@@ -110,6 +110,7 @@ def test_breakeven_malformed_device_file_exits_3(tmp_path):
     path = tmp_path / "broken.device"
     path.write_text("[device]\nname = d\nkind = disk\n", encoding="utf-8")
     assert run("breakeven", "--device", str(path))[0] == 3
+    assert run("metrics", "--device", str(path)) == (3, "")
     assert run("breakeven", "--device", str(tmp_path)) == (3, "")  # a directory
 
 
@@ -199,6 +200,13 @@ def test_indexsize_point_and_candidates():
     optimal = [r for r in rows if r[-1] == "yes"]
     assert len(optimal) == 1 and optimal[0][0] == "16384"
     assert run("indexsize")[0] == 2
+
+
+def test_indexsize_overflowing_fanout_and_cost_exit_2():
+    # entries per page and access cost both overflow to inf: their ratio is inf / inf
+    for pages in (["--page-bytes=1e12"], ["--candidates", "1e12"]):
+        assert run("indexsize", *pages, "--entry-bytes=1e-300",
+                   "--bandwidth-bps=1e-300", "--format", "csv") == (2, "")
 
 
 def test_metrics_table8_csv():
@@ -330,6 +338,24 @@ def test_simulate_input_errors_exit_3(tmp_path):
         proc = run_cold("-m", "storage_rules.cli", "simulate", "--trace", str(far),
                         "--frames", "2", "--checkpoint", cp)
         assert proc.returncode == 3 and proc.stderr.startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("body,bad_line", [
+    (b"0,A,r\n1,\xffB,r\n2,C,r\n", 3),                 # a bad byte in line 3
+    (b"0,A,r,x\n1,\xffB,r\n", 3),                     # after a malformed line 2
+    (b"0,A,r\n" * 200_000 + b"1,\xffB,r\n", 200_002),  # past the first 1 MiB block
+    (b"0,A,r\n1,B\xe2\x82", 3),                        # a sequence cut off at EOF
+], ids=["line3", "after-malformed-line", "past-block-edge", "truncated-at-eof"])
+def test_simulate_invalid_utf8_names_a_line_not_a_position(tmp_path, capsys, body, bad_line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"time,page,op\n" + body)
+    assert run("simulate", "--trace", str(path), "--frames", "2") == (3, "")
+    (err,) = capsys.readouterr().err.replace(str(path), "").splitlines()
+    assert err.startswith("error:") and "not UTF-8" in err and "position" not in err
+    named = int(err.split(" line ")[1].split()[0])
+    assert named <= bad_line  # the first line of the block being decoded
+    if bad_line > 200_000:
+        assert named > 2
 
 
 def test_simulate_config_errors_exit_2(tmp_path):
