@@ -29,11 +29,14 @@ with this one event for event:
 * With a checkpoint interval C, boundary k*C (k = 1, 2, ...) cleans the
   frames first dirtied before (k-1)*C, one checkpoint flush each.  Only
   the last boundary <= t acts before the event at t (cutoffs only grow
-  and nothing is dirtied in between); it pops one queued dirtying per
-  step, so no cost grows with the boundaries crossed or the pool size.
-  Once a boundary is passed, t/C >= 2**53 (where boundaries stop being
-  distinct floats) raises TraceOrderError.  A final checkpoint at end of
-  trace cleans every dirty frame; no interval, no checkpoints at all.
+  and nothing is dirtied in between); it only sets the cutoff, and a
+  frame dirtied before it has that flush settled at its next touch (an
+  eviction counts it instead of a contention flush, a write counts it
+  and dirties the frame anew), so no cost grows with the boundaries
+  crossed or the pool size.  Once a boundary is passed, t/C >= 2**53
+  (where boundaries stop being distinct floats) raises TraceOrderError.
+  A final checkpoint at end of trace cleans every dirty frame; no
+  interval, no checkpoints at all.
 * Clock2 keeps one reference bit per frame in a fixed ring of slots
   filled in index order; the hand starts at slot 0 and stops just past
   the victim.  Loads and hits set the bit.  The sweep skips ineligible
@@ -54,9 +57,9 @@ skipped as stale.
 
 Clock2 keeps one byte per frame: bit 0 is the reference bit, bit 1 the
 protected flag.  The hand clears the 1 bytes it passes and stops at a 0
-byte; at a protected frame it leaves the rest of the sweep to
-bytearray.find, which skips protected frames in C, and one translate
-clears the reference bits passed.  The fallback sweep is a Python loop.
+byte (in a fallback, the 3 bytes and a 2); at a protected frame it
+leaves the rest of the sweep to bytearray.find, which skips protected
+frames in C, and one translate clears the reference bits passed.
 
 LRU parks the protected pages its scan from the cold end meets: a
 parked page leaves the recency order and is older than every page still
@@ -68,15 +71,13 @@ the first page in recency order.
 
 So each eviction does O(1) amortised Python work whatever share of
 frames is protected.  The FIFO drops its stale entries whenever it
-passes 2 * frames entries, and so does the checkpoint queue of
-dirtyings, keeping one entry per slot still dirty since that entry's
-time, so it stays O(frames) even when no boundary comes.  The heap
-needs no such step: it holds at most one entry per slot, since a slot's
-entry leaves it before the slot is reloaded (a slot is evicted through
-its entry, by the recency scan, which runs only once the heap is empty,
-or in a fallback, which never takes a frame whose protection has
-lapsed).  Per-slot state grows as the pool fills, so frames beyond the
-trace's distinct pages cost nothing.
+passes 2 * frames entries, so it stays O(frames).  The heap needs no
+such step: it holds at most one entry per slot, since a slot's entry
+leaves it before the slot is reloaded (a slot is evicted through its
+entry, by the recency scan, which runs only once the heap is empty, or
+in a fallback, which never takes a frame whose protection has lapsed).
+Per-slot state grows as the pool fills, so frames beyond the trace's
+distinct pages cost nothing.
 
 Traces.  A Trace holds a trace as three columns (times, dense page ids
 with an id -> label table, write flags); simulate keys its state by the
@@ -253,13 +254,11 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     n_protected = 0
     lapsed = []  # heap of (park number, slot) of parked pages no longer protected
     park_no = 0
-    # (first_dirt, slot) per clean-to-dirty change; popping skips stale ones
-    dirtied = deque(maxlen=0 if cp is None else None)
-    queue_cap = 2 * frames  # expiries and dirtied drop stale entries beyond it
     hand = 0
     logical = physical = evictions = contention = checkpoints = fallbacks = 0
     inf = math.inf
     next_boundary = cp if cp is not None else inf
+    cutoff = -inf  # frames dirty since before it were flushed by a checkpoint
     prev_t = -sys.float_info.max  # below every finite time, above -inf
 
     for t, page, op in events:
@@ -280,11 +279,6 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 k += 1
             next_boundary = (k + 1) * cp
             cutoff = k * cp - cp
-            while dirtied and dirtied[0][0] < cutoff:
-                i = dirtied.popleft()[1]
-                if dirty[i] and first_dirt[i] < cutoff:
-                    dirty[i] = 0
-                    checkpoints += 1
 
         logical += 1
         i = slot_of.get(page)
@@ -298,12 +292,6 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 move_to_end(page)
             else:
                 ref[i] |= 1
-            if op == "write" and not dirty[i]:
-                dirty[i] = 1
-                first_dirt[i] = t
-                dirtied.append((t, i))
-                if len(dirtied) > queue_cap:
-                    dirtied = _live_dirt(dirtied, dirty, first_dirt)
         else:
             physical += 1
             prot = t + n_lifetime if history[page] >= t - n_lifetime else t
@@ -329,28 +317,25 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                     n_protected -= 1  # the victim is one of them
                 if not lru:
                     # The hand clears the reference bits of the candidates it
-                    # passes and stops at the first one whose bit is clear.
+                    # passes (all frames in a fallback, else the eligible ones)
+                    # and stops at the first one whose bit is clear.
                     i = hand
-                    if was_fallback:  # every frame, all protected: byte 3 or 2
-                        while ref[i] == 3:
-                            ref[i] = 2
-                            i = i + 1 if i + 1 < frames else 0
-                    else:  # the eligible frames: byte 1 or 0
-                        while ref[i] == 1:
-                            ref[i] = 0
-                            i = i + 1 if i + 1 < frames else 0
-                        if ref[i]:
-                            # a protected frame: find skips it and all the others
-                            hand = i
-                            i = ref.find(0, hand)
-                            if i < 0:  # wrap to slot 0
-                                ref[hand:] = ref[hand:].translate(_CLEAR_REF)
-                                hand = 0
+                    seen, clear = (3, 2) if was_fallback else (1, 0)
+                    while ref[i] == seen:
+                        ref[i] = clear
+                        i = i + 1 if i + 1 < frames else 0
+                    if ref[i] != clear:
+                        # a protected frame: find skips it and all the others
+                        hand = i
+                        i = ref.find(0, hand)
+                        if i < 0:  # wrap to slot 0
+                            ref[hand:] = ref[hand:].translate(_CLEAR_REF)
+                            hand = 0
+                            i = ref.find(0)
+                            if i < 0:  # every eligible frame was referenced
+                                ref = ref.translate(_CLEAR_REF)
                                 i = ref.find(0)
-                                if i < 0:  # every eligible frame was referenced
-                                    ref = ref.translate(_CLEAR_REF)
-                                    i = ref.find(0)
-                            ref[hand:i] = ref[hand:i].translate(_CLEAR_REF)
+                        ref[hand:i] = ref[hand:i].translate(_CLEAR_REF)
                     hand = i + 1 if i + 1 < frames else 0
                     old = slot_page[i]
                     del slot_of[old]
@@ -379,7 +364,11 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 if was_fallback:
                     fallbacks += 1
                 if dirty[i]:
-                    contention += 1
+                    if first_dirt[i] < cutoff:
+                        checkpoints += 1
+                    else:
+                        contention += 1
+                    dirty[i] = 0
                 if event_log is not None:
                     event_log.append(("evict", t, old if label is None else label(old),
                                       protected[i], was_fallback))
@@ -391,31 +380,24 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 n_protected += 1
                 ref[i] = 3
                 expiries.append((prot, i, physical))
-                if len(expiries) > queue_cap:
+                if len(expiries) > 2 * frames:  # drop the stale entries
                     expiries = deque(e for e in expiries if loaded[e[1]] == e[2])
             else:
                 ref[i] = 1
-            if op == "write":
+        if op == "write":
+            if not dirty[i]:
                 dirty[i] = 1
                 first_dirt[i] = t
-                dirtied.append((t, i))
-                if len(dirtied) > queue_cap:
-                    dirtied = _live_dirt(dirtied, dirty, first_dirt)
-            else:
-                dirty[i] = 0
+            elif first_dirt[i] < cutoff:  # flushed by a checkpoint since
+                checkpoints += 1
+                first_dirt[i] = t
         history[page] = t
 
     if cp is not None:
-        checkpoints += sum(dirty)  # final checkpoint cleans everything
+        checkpoints += sum(dirty)  # one flush each, at a boundary or at the end
     hit_ratio = 1.0 - physical / logical if logical else 0.0
     return SimReport(logical, physical, evictions, contention, checkpoints,
                      fallbacks, hit_ratio)
-
-
-def _live_dirt(dirtied: deque, dirty: bytearray, first_dirt: list) -> deque:
-    """The queue's entries whose slot is still dirty since their time, one per slot."""
-    live = {i: d for d, i in dirtied if dirty[i] and first_dirt[i] == d}
-    return deque((d, i) for i, d in live.items())
 
 
 def recommended_n(tp: TechnologyParams, ep: EconomicParams) -> float:
@@ -508,9 +490,10 @@ def read_trace_csv(fh: io.TextIOBase) -> Trace:
     The file is read in blocks of whole lines.  A block of plain
     ``time,page,r|w`` lines is split at once; any other block is parsed
     line by line, which skips blank lines, strips each line and reports
-    the first bad line by its number.  Invalid UTF-8 names the first line
-    of the block being read, as the decoder reads ahead, and so pre-empts
-    a malformed line earlier in that block.
+    the first bad line by its number.  Invalid UTF-8 met by the header
+    read names its line; met by a block read, it names the block's first
+    line, as the decoder reads ahead, and so pre-empts a malformed line
+    earlier in that block.
     """
     lineno = 1  # the first line of the text being read
     try:
@@ -533,7 +516,13 @@ def read_trace_csv(fh: io.TextIOBase) -> Trace:
             is_write.extend(w_col)
             lineno += lines
     except UnicodeDecodeError as err:  # raised only by the reads
-        raise ValueError(f"line {lineno} or later: not UTF-8 ({err.reason})") from None
+        where = f"line {lineno} or later:"
+        if lineno == 1:
+            # the header read decodes the file's first chunk, then more
+            # only while no newline has come, so the bad byte's line is known
+            lineno += bytes(err.object[:err.start]).count(b"\n")
+            where = f"line {lineno} is"
+        raise ValueError(f"{where} not UTF-8 ({err.reason})") from None
     return Trace(times, ids, list(id_of), is_write)
 
 

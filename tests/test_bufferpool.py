@@ -138,6 +138,52 @@ def test_final_checkpoint_cleans_everything():
     assert without_cp.checkpoint_flushes == 0
 
 
+@pytest.mark.parametrize("policy", ["lru", "clock2"])
+@pytest.mark.parametrize("events,frames,flushes", [
+    # (contention, checkpoint) flushes; at C = 10 the boundary at t = 20
+    # flushes what was dirtied before t = 10
+    ([(1, "A", "w"), (25, "B", "r")], 1, (0, 1)),                 # flushed, then evicted
+    ([(1, "A", "w"), (25, "B", "r"), (26, "A", "w")], 2, (0, 2)),  # flushed, then rewritten
+    ([(1, "A", "w"), (25, "A", "r")], 1, (0, 1)),                 # flushed, then only read
+    ([(1, "A", "w"), (5, "B", "r")], 1, (1, 0)),                  # evicted before any boundary
+], ids=["evicted", "rewritten", "read", "no-boundary"])
+def test_checkpoint_flush_is_settled_at_the_next_touch(policy, events, frames, flushes):
+    trace = [TraceEvent(t, page, {"r": "read", "w": "write"}[op]) for t, page, op in events]
+    rep = simulate(trace, PoolConfig(frames, policy, checkpoint_interval_s=10))
+    assert rep == brute_force_simulate(trace, frames, policy, 0.0, 10)
+    assert (rep.contention_flushes, rep.checkpoint_flushes) == flushes
+
+
+# SimReport.row() of a 2e4-event trace over 64 frames, per (policy, N, C)
+FULL_LENGTH_ROWS = {
+    ("lru", 0, None): (20000, 12111, 0.39444999999999997, 12047, 6690, 0, 0),
+    ("lru", 0, 1): (20000, 12111, 0.39444999999999997, 12047, 0, 9727, 0),
+    ("lru", 0, 300): (20000, 12111, 0.39444999999999997, 12047, 6687, 72, 0),
+    ("lru", 120, None): (20000, 11791, 0.41045, 11727, 6649, 0, 0),
+    ("lru", 120, 1): (20000, 11791, 0.41045, 11727, 0, 9727, 0),
+    ("lru", 120, 300): (20000, 11791, 0.41045, 11727, 6648, 44, 0),
+    ("lru", 2000, None): (20000, 12002, 0.39990000000000003, 11938, 6631, 0, 11208),
+    ("lru", 2000, 1): (20000, 12002, 0.39990000000000003, 11938, 208, 9519, 11208),
+    ("lru", 2000, 300): (20000, 12002, 0.39990000000000003, 11938, 6625, 75, 11208),
+    ("clock2", 0, None): (20000, 12375, 0.38125, 12311, 6929, 0, 0),
+    ("clock2", 0, 1): (20000, 12375, 0.38125, 12311, 0, 9727, 0),
+    ("clock2", 0, 300): (20000, 12375, 0.38125, 12311, 6927, 55, 0),
+    ("clock2", 120, None): (20000, 11771, 0.41145, 11707, 6663, 0, 0),
+    ("clock2", 120, 1): (20000, 11771, 0.41145, 11707, 0, 9727, 0),
+    ("clock2", 120, 300): (20000, 11771, 0.41145, 11707, 6663, 39, 0),
+    ("clock2", 2000, None): (20000, 12256, 0.3872, 12192, 6851, 0, 11466),
+    ("clock2", 2000, 1): (20000, 12256, 0.3872, 12192, 216, 9511, 11466),
+    ("clock2", 2000, 300): (20000, 12256, 0.3872, 12192, 6848, 57, 11466),
+}
+
+
+def test_full_length_reports_are_pinned():
+    # the oracle replays only short traces, so whole-trace counts are pinned
+    trace = generate_trace(7, 20_000, 512, zipf_s=0.8, write_fraction=0.5, ops_per_second=2.0)
+    for (policy, n, cp), row in FULL_LENGTH_ROWS.items():
+        assert simulate(trace, PoolConfig(64, policy, n, cp)).row() == row, (policy, n, cp)
+
+
 def test_clock2_gives_second_chances():
     # frames=2 hold A,B with ref bits set; loading C clears both and
     # evicts A (slot 0); the next A load evicts B (hand moved past 0)

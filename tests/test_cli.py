@@ -358,6 +358,17 @@ def test_simulate_invalid_utf8_names_a_line_not_a_position(tmp_path, capsys, bod
         assert named > 2
 
 
+@pytest.mark.parametrize("body,named", [
+    (b"0,A,r\n1,\xffB,r\n", "line 3 is"),                      # met by the header read
+    (b"0,A,r\n" * 2000 + b"1,\xffB,r\n", "line 2 or later:"),  # past the first 8 KiB
+], ids=["line3", "past-8-KiB"])
+def test_simulate_invalid_utf8_read_with_the_header_names_its_line(tmp_path, capsys, body, named):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"time,page,op\n" + body)
+    assert run("simulate", "--trace", str(path), "--frames", "2") == (3, "")
+    assert capsys.readouterr().err == f"error: {path}: {named} not UTF-8 (invalid start byte)\n"
+
+
 def test_simulate_config_errors_exit_2(tmp_path):
     trace_path = tmp_path / "t.csv"
     trace_path.write_text("time,page,op\n0,A,r\n", encoding="utf-8")
