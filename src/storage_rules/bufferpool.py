@@ -95,13 +95,10 @@ import math
 import operator
 import sys
 from array import array
-from collections import OrderedDict, defaultdict, deque
-from collections.abc import Sequence
+from collections import OrderedDict, defaultdict, deque, namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, NamedTuple
-
-from .rules import EconomicParams, TechnologyParams, break_even_interval
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -124,10 +121,9 @@ class TraceOrderError(ValueError):
     """Trace timestamps went backwards, were not finite, or outran checkpoints."""
 
 
-class TraceEvent(NamedTuple):
-    time_s: float
-    page_id: object
-    op: str  # "read" | "write"
+# op is "read" or "write"; a namedtuple, not a typing.NamedTuple, so
+# that simulate and gen-trace do not load typing
+TraceEvent = namedtuple("TraceEvent", ["time_s", "page_id", "op"])
 
 
 _OP_NAMES = ("read", "write")  # indexed by a write flag
@@ -400,9 +396,11 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                      fallbacks, hit_ratio)
 
 
-def recommended_n(tp: TechnologyParams, ep: EconomicParams) -> float:
+def recommended_n(tp: rules.TechnologyParams, ep: rules.EconomicParams) -> float:
     """Economically justified lifetime N: the break-even reference interval."""
-    return break_even_interval(tp, ep).interval_s
+    from . import rules  # here: simulate and gen-trace never need it
+
+    return rules.break_even_interval(tp, ep).interval_s
 
 
 def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
@@ -463,7 +461,8 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
 # --- trace and report serialization ---------------------------------------
 
 _OPS_OUT = {"read": "r", "write": "w"}
-_WRITE_ROWS = 1 << 16  # rows formatted per write
+# rows formatted per write; larger blocks are no faster and hold more (5 MB at 1 << 16)
+_WRITE_ROWS = 1 << 14
 _READ_CHARS = 1 << 20  # characters read per block, then up to the next newline
 _OP_FLAG = {"r": 0, "w": 1}
 
@@ -472,16 +471,35 @@ def write_trace_csv(trace: Iterable[TraceEvent], fh: io.TextIOBase) -> None:
     """Trace CSV: header ``time,page,op``; op is r/w.
 
     Times keep full precision (repr) so a written trace replays exactly.
-    Rows are formatted and written a block at a time.
+    Rows are formatted and written a block at a time.  A Trace's rows are
+    joined from its columns: the repr of each time, the ``,page,`` cell
+    of its page id, formatted once per distinct page, and ``r`` or ``w``.
     """
     fh.write(TRACE_HEADER + "\n")
     if isinstance(trace, Trace):
-        rows = zip(trace.times, map(trace.labels.__getitem__, trace.ids),
-                   map(("r", "w").__getitem__, trace.is_write))
+        lines = map("".join, zip(map(repr, trace.times),
+                                 map(_PageCells(trace.labels).__getitem__, trace.ids),
+                                 map(("r\n", "w\n").__getitem__, trace.is_write)))
     else:
-        rows = ((t, page, _OPS_OUT[op]) for t, page, op in trace)
-    while block := "".join([f"{t!r},{page},{op}\n" for t, page, op in islice(rows, _WRITE_ROWS)]):
+        lines = (f"{t!r},{page},{_OPS_OUT[op]}\n" for t, page, op in trace)
+    while block := "".join(islice(lines, _WRITE_ROWS)):
         fh.write(block)
+
+
+class _PageCells(dict):
+    """page id -> ``,label,``, formatted at the id's first lookup.
+
+    Lazy, so a label table far larger than the trace (generate_trace's
+    range of every page) costs only the pages that occur.
+    """
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: Sequence):
+        self.labels = labels
+
+    def __missing__(self, page_id: int) -> str:
+        cell = self[page_id] = f",{self.labels[page_id]},"
+        return cell
 
 
 def read_trace_csv(fh: io.TextIOBase) -> Trace:

@@ -19,7 +19,8 @@ import math
 import os
 import sys
 
-from . import bufferpool, devices, indexing, metrics, rules, sorting
+# Each command imports the modules it runs, where it runs them, so a cold
+# start loads argparse, this file and only those modules.
 
 RATED_PAGE_BYTES = 8192  # page size behind the catalog's accesses_per_sec ratings
 DEFAULT_RAM_PRICE = 15.0  # $/MB, the 1997 reference RAM pricing
@@ -84,6 +85,8 @@ class _CliArgError(Exception):
 
 def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
     """Resolve --device: a preset name, or a device file path."""
+    from . import devices
+
     try:
         return devices.preset(spec_arg)
     except devices.UnknownPresetError as unknown:
@@ -112,6 +115,8 @@ def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
 # --- breakeven -------------------------------------------------------------
 
 def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParams, str | None]:
+    from . import rules
+
     if args.device is not None:
         dev = _load_device(args.device, args.device_name)
         page = args.page_bytes
@@ -124,10 +129,14 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
             tp = rules.TechnologyParams(rules.BINARY_MB / RATED_PAGE_BYTES,
                                         dev.spec.accesses_per_sec)
         else:
+            from . import metrics
+
             page = RATED_PAGE_BYTES if page is None else page
             tp = rules.TechnologyParams(rules.BINARY_MB / page, metrics.access_rate(dev, page))
         ram_price = args.ram_price
         if ram_price is None:
+            from . import devices
+
             companion = devices.ram_companion(dev.name)
             ram_price = companion.price_per_mb if companion else DEFAULT_RAM_PRICE
         return tp, rules.EconomicParams(dev.price_dollars, ram_price), dev.kind
@@ -144,6 +153,8 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
 
 
 def _cmd_breakeven(args):
+    from . import rules
+
     tp, ep, kind = _breakeven_params(args)
     if args.raid != "none":
         adj = rules.raid_adjustment(f"raid{args.raid}", args.raid_read_mult,
@@ -161,6 +172,8 @@ def _cmd_breakeven(args):
 # --- seqrule ---------------------------------------------------------------
 
 def _cmd_seqrule(args):
+    from . import rules
+
     ep = rules.EconomicParams(args.device_price, args.ram_price)
     if args.curve:
         if args.page_sizes:
@@ -196,19 +209,23 @@ def _cmd_seqrule(args):
 # --- sortplan --------------------------------------------------------------
 
 def _cmd_sortplan(args):
+    from . import sorting
+
     buffer_bytes = args.buffer_bytes
+    c_buf = sorting.DEFAULT_C_BUF if args.c_buf is None else args.c_buf
+    c_sqrt = sorting.DEFAULT_C_SQRT if args.c_sqrt is None else args.c_sqrt
+    threshold = (sorting.DEFAULT_ONE_PASS_THRESHOLD if args.one_pass_threshold is None
+                 else args.one_pass_threshold)
     if args.max_file:
         if args.memory_bytes is None:
             raise _CliArgError("--max-file needs --memory-bytes")
-        largest = sorting.max_two_pass_file(args.memory_bytes, buffer_bytes,
-                                            args.c_buf, args.c_sqrt)
+        largest = sorting.max_two_pass_file(args.memory_bytes, buffer_bytes, c_buf, c_sqrt)
         return ("memory_bytes,buffer_bytes,max_file_bytes",
                 [(args.memory_bytes, buffer_bytes, largest)], [])
     if args.file_bytes is None:
         raise _CliArgError("need --file-bytes (or --max-file)")
-    memory_needed = sorting.two_pass_memory(args.file_bytes, buffer_bytes,
-                                            args.c_buf, args.c_sqrt)
-    recommended = sorting.choose_pass_count(args.file_bytes, args.one_pass_threshold)
+    memory_needed = sorting.two_pass_memory(args.file_bytes, buffer_bytes, c_buf, c_sqrt)
+    recommended = sorting.choose_pass_count(args.file_bytes, threshold)
     if args.memory_bytes is None:
         return ("file_bytes,buffer_bytes,two_pass_memory_bytes,recommended_passes",
                 [(args.file_bytes, buffer_bytes, memory_needed, recommended)], [])
@@ -226,6 +243,8 @@ def _cmd_sortplan(args):
 # --- indexsize -------------------------------------------------------------
 
 def _cmd_indexsize(args):
+    from . import indexing
+
     if args.table6:
         params = indexing.IndexParams(entry_bytes=20, fill_factor=0.7)
         model = indexing.PageCostModel(latency_s=0.01, bandwidth_bps=1e7)
@@ -292,6 +311,8 @@ _TAPE_TBSCAN_NOTE = ("note: the published tape $/TBscan is 296 $, about 14x the 
 
 
 def _cmd_metrics(args):
+    from . import metrics
+
     rent = metrics.RentModel(depreciation_s=args.years * 365 * 86400)
     if args.table8:
         reports = metrics.table8_reports(rent)
@@ -325,6 +346,8 @@ def _preset_row(dev: devices.DeviceSpec) -> list:
 
 
 def _cmd_presets(args):
+    from . import devices
+
     rows = [_preset_row(devices.preset(name)) for name in devices.preset_names()]
     return ",".join(_PRESET_COLS), rows, []
 
@@ -333,6 +356,8 @@ def _cmd_presets(args):
 
 def _gen_trace(args, out) -> None:
     """Stream the trace CSV; the one command that bypasses _render."""
+    from . import bufferpool
+
     trace = bufferpool.generate_trace(args.seed, args.ops, args.pages, args.zipf_s,
                                       args.write_fraction, args.ops_per_second)
     if args.out is None:
@@ -347,6 +372,8 @@ def _gen_trace(args, out) -> None:
 
 
 def _cmd_simulate(args):
+    from . import bufferpool
+
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = bufferpool.read_trace_csv(fh)
@@ -434,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-bytes", type=float)
     p.add_argument("--max-file", action="store_true",
                    help="largest two-pass file for --memory-bytes")
-    p.add_argument("--c-buf", type=float, default=sorting.DEFAULT_C_BUF)
-    p.add_argument("--c-sqrt", type=float, default=sorting.DEFAULT_C_SQRT)
-    p.add_argument("--one-pass-threshold", type=float,
-                   default=sorting.DEFAULT_ONE_PASS_THRESHOLD)
+    # None: _cmd_sortplan applies sorting's defaults, so the parser needs no sorting
+    p.add_argument("--c-buf", type=float)
+    p.add_argument("--c-sqrt", type=float)
+    p.add_argument("--one-pass-threshold", type=float)
     _add_format(p)
     p.set_defaults(func=_cmd_sortplan)
 

@@ -470,9 +470,10 @@ def test_auxiliary_state_stays_bounded_when_every_frame_is_protected():
         assert peak < 64 * 1024, (policy, peak)
 
 
-def test_checkpoint_queue_stays_bounded_when_no_boundary_is_reached():
-    # every load dirties its frame and C outlasts the trace, so no
-    # checkpoint ever pops the queue of dirtyings; only live ones may stay
+def test_dirty_frame_state_stays_bounded_when_no_boundary_is_reached():
+    # every load dirties its frame and C outlasts the trace, so no boundary
+    # ever sets a cutoff; the dirty-frame state must stay per frame, not
+    # grow with the writes
     for policy in ("lru", "clock2"):
         tracemalloc.start()
         rep = simulate(((float(k), k % 3, "write") for k in range(5000)),
@@ -538,6 +539,15 @@ def test_trace_csv_round_trip_replays_identically():
     # page ids come back as strings; the replay must not care
     config = PoolConfig(frames=8, n_minute_s=10.0, checkpoint_interval_s=25.0)
     assert simulate(again, config) == simulate(trace, config)
+
+
+def test_write_trace_csv_formats_only_the_pages_that_occur():
+    # a label table of 2**40 pages: formatting each one would never finish
+    trace = Trace(array("d", [0.0, 0.5, 2.0]), array("q", [7, 2**40 - 1, 7]),
+                  range(1, 2**40 + 1), b"\x00\x01\x00")
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    assert buf.getvalue() == f"time,page,op\n0.0,8,r\n0.5,{2**40},w\n2.0,8,r\n"
 
 
 def test_read_trace_csv_errors():

@@ -441,6 +441,39 @@ def test_analytic_commands_do_not_import_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def _modules_loaded_by(code):
+    """The storage_rules.* modules a fresh interpreter holds after running code."""
+    proc = run_cold("-c", f"import sys\n{code}\nprint(' '.join(sorted("
+                          "m for m in sys.modules if m.startswith('storage_rules.'))))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_sibling_module():
+    assert _modules_loaded_by("import storage_rules.cli") == {"storage_rules.cli"}
+
+
+# The analytic commands perfbench's cli-analytic workload runs (and the
+# --page-bytes branch of breakeven), with the modules each one needs.
+@pytest.mark.parametrize("argv, modules", [
+    (["presets"], {"devices"}),
+    (["breakeven", "--device", "dell_tpcc_1997"], {"rules", "devices"}),
+    (["breakeven", "--device", "dell_tpcc_1997", "--page-bytes", "8192"],
+     {"rules", "devices", "metrics"}),
+    (["seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20)], {"rules"}),
+    (["sortplan", "--file-bytes", "1e11", "--memory-bytes", "1e8"], {"sorting"}),
+    (["indexsize", "--figure7"], {"indexing"}),
+    (["metrics", "--table8"], {"metrics", "devices"}),
+], ids=["presets", "breakeven", "breakeven-page-bytes", "seqrule", "sortplan", "indexsize",
+        "metrics"])
+def test_analytic_command_loads_only_its_modules(argv, modules):
+    loaded = _modules_loaded_by(
+        "import io; from storage_rules.cli import main\n"
+        f"assert main({argv!r}, out=io.StringIO()) == 0")
+    assert "storage_rules.bufferpool" not in loaded
+    assert loaded == {"storage_rules.cli"} | {f"storage_rules.{m}" for m in modules}
+
+
 def test_simulate_does_not_import_numpy(tmp_path):
     trace_path = tmp_path / "aba.csv"
     trace_path.write_text("time,page,op\n0,A,r\n1,B,w\n2,A,r\n", encoding="utf-8")
@@ -450,6 +483,19 @@ def test_simulate_does_not_import_numpy(tmp_path):
                           "print(code, 'numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
+
+
+def test_simulate_loads_neither_rules_nor_typing(tmp_path):
+    trace_path = tmp_path / "aba.csv"
+    trace_path.write_text("time,page,op\n0,A,r\n1,B,w\n2,A,r\n", encoding="utf-8")
+    # -S: no site hooks, which may load typing themselves
+    proc = run_cold("-S", "-c", "import io, sys; from storage_rules.cli import main; "
+                                f"code = main(['simulate', '--trace', {str(trace_path)!r}, "
+                                "'--frames', '1', '--format', 'csv'], out=io.StringIO()); "
+                                "print(code, 'storage_rules.rules' in sys.modules, "
+                                "'typing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False False"
 
 
 # Numeric flags of the analytic commands, one mode per entry.
