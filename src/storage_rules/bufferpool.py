@@ -48,18 +48,20 @@ Cost.  No eviction visits a protected frame, save to park it (LRU, once
 per load or hit) or in a fallback, where every frame is protected;
 auxiliary state is O(frames).  Every protection runs N seconds from a
 non-decreasing t, so protections lapse in the order they were granted:
-a FIFO of (protected_until, slot, load number) entries, popped before
-each victim choice, keeps the count of protected frames, and when that
-count is the pool size the fallback victim is taken at once.  Every
-load, protected or not, stamps its slot with a new load number (the
-physical read count), so an entry whose slot was reloaded since is
-skipped as stale.
+a FIFO of (protected_until, slot) entries, popped before each victim
+choice, keeps the count of protected frames, and when that count is the
+pool size the fallback victim is taken at once.  A popped entry acts
+only if its slot is still flagged protected (below) and due; any other
+entry belongs to a load that a fallback evicted.  Every entry due at t
+pops in one pass, so acting on a slot's first due entry leaves the
+state that acting on its own entry would.
 
-Clock2 keeps one byte per frame: bit 0 is the reference bit, bit 1 the
-protected flag.  The hand clears the 1 bytes it passes and stops at a 0
-byte (in a fallback, the 3 bytes and a 2); at a protected frame it
-leaves the rest of the sweep to bytearray.find, which skips protected
-frames in C, and one translate clears the reference bits passed.
+Each frame keeps one byte: bit 1 is the protected flag, bit 0 Clock2's
+reference bit.  The Clock2 hand clears the 1 bytes it passes and stops
+at a 0 byte (in a fallback, the 3 bytes and a 2); at a protected frame
+it leaves the rest of the sweep to bytearray.find, which skips
+protected frames in C, and one translate clears the reference bits
+passed.
 
 LRU parks the protected pages its scan from the cold end meets: a
 parked page leaves the recency order and is older than every page still
@@ -70,14 +72,15 @@ page in recency order; a fallback takes the oldest parked page, else
 the first page in recency order.
 
 So each eviction does O(1) amortised Python work whatever share of
-frames is protected.  The FIFO drops its stale entries whenever it
-passes 2 * frames entries, so it stays O(frames).  The heap needs no
-such step: it holds at most one entry per slot, since a slot's entry
-leaves it before the slot is reloaded (a slot is evicted through its
-entry, by the recency scan, which runs only once the heap is empty, or
-in a fallback, which never takes a frame whose protection has lapsed).
-Per-slot state grows as the pool fills, so frames beyond the trace's
-distinct pages cost nothing.
+frames is protected.  Whenever the FIFO passes 2 * frames entries it
+is rebuilt from the flags, one entry per protected frame, so it stays
+O(frames) even where reloads at one time repeat an entry.  The heap
+needs no such step: it holds at most one entry per slot, since a slot's
+entry leaves it before the slot is reloaded (a slot is evicted through
+its entry, by the recency scan, which runs only once the heap is empty,
+or in a fallback, which never takes a frame whose protection has
+lapsed).  Per-slot state grows as the pool fills, so frames beyond the
+trace's distinct pages cost nothing.
 
 Traces.  A Trace holds a trace as three columns (times, dense page ids
 with an id -> label table, write flags); simulate keys its state by the
@@ -161,12 +164,6 @@ class Trace(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    __hash__ = None
-
-    def keyed(self):
-        """(time, dense page id, op) per event: what simulate iterates."""
-        return zip(self.times, self.ids, map(_OP_NAMES.__getitem__, self.is_write))
-
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -220,7 +217,8 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     """
     # history: page -> time of its last touch, -inf before the first
     if isinstance(trace, Trace):
-        events, label = trace.keyed(), trace.labels.__getitem__
+        events = zip(trace.times, trace.ids, map(_OP_NAMES.__getitem__, trace.is_write))
+        label = trace.labels.__getitem__
         history = [-math.inf] * len(trace.labels)
     else:
         events, label = trace, None
@@ -240,13 +238,10 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     # per-slot state, grown as the pool fills
     slot_page = []
     protected = []
-    loaded = []     # load number (the physical read count) of the slot's page
     parked_at = []  # park number of a parked page, else 0
-    dirty = bytearray()
-    first_dirt = []
+    dirtied = []  # time of the first write since the last flush, inf if clean
     ref = bytearray()  # bit 0: Clock2 reference bit; bit 1: protected
-    # (protected_until, slot, load number) per protected load, oldest first
-    expiries = deque()
+    expiries = deque()  # (protected_until, slot) per protected load, oldest first
     n_protected = 0
     lapsed = []  # heap of (park number, slot) of parked pages no longer protected
     park_no = 0
@@ -295,15 +290,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 i = len(slot_page)
                 slot_page.append(None)
                 protected.append(0.0)
-                loaded.append(0)
                 parked_at.append(0)
-                dirty.append(0)
-                first_dirt.append(0.0)
+                dirtied.append(inf)
                 ref.append(0)
             else:
                 while expiries and expiries[0][0] <= t:
-                    _, j, load = expiries.popleft()
-                    if loaded[j] == load:
+                    j = expiries.popleft()[1]
+                    if ref[j] > 1 and protected[j] <= t:  # else a fallback took its load
                         n_protected -= 1
                         ref[j] &= 1
                         if parked_at[j]:
@@ -359,38 +352,38 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 evictions += 1
                 if was_fallback:
                     fallbacks += 1
-                if dirty[i]:
-                    if first_dirt[i] < cutoff:
+                if dirtied[i] < inf:
+                    if dirtied[i] < cutoff:
                         checkpoints += 1
                     else:
                         contention += 1
-                    dirty[i] = 0
+                    dirtied[i] = inf
                 if event_log is not None:
                     event_log.append(("evict", t, old if label is None else label(old),
                                       protected[i], was_fallback))
             slot_page[i] = page
             slot_of[page] = i
             protected[i] = prot
-            loaded[i] = physical
             if prot > t:
                 n_protected += 1
                 ref[i] = 3
-                expiries.append((prot, i, physical))
-                if len(expiries) > 2 * frames:  # drop the stale entries
-                    expiries = deque(e for e in expiries if loaded[e[1]] == e[2])
+                expiries.append((prot, i))
+                if len(expiries) > 2 * frames:  # rebuilt: one entry per protected frame
+                    js = sorted([j for j, r in enumerate(ref) if r > 1], key=protected.__getitem__)
+                    expiries = deque(zip(map(protected.__getitem__, js), js))
             else:
                 ref[i] = 1
         if op == "write":
-            if not dirty[i]:
-                dirty[i] = 1
-                first_dirt[i] = t
-            elif first_dirt[i] < cutoff:  # flushed by a checkpoint since
+            if dirtied[i] < cutoff:  # flushed by a checkpoint since
                 checkpoints += 1
-                first_dirt[i] = t
+                dirtied[i] = t
+            elif dirtied[i] == inf:
+                dirtied[i] = t
         history[page] = t
 
     if cp is not None:
-        checkpoints += sum(dirty)  # one flush each, at a boundary or at the end
+        # one flush per dirty frame, at a boundary or at the end
+        checkpoints += len(dirtied) - dirtied.count(inf)
     hit_ratio = 1.0 - physical / logical if logical else 0.0
     return SimReport(logical, physical, evictions, contention, checkpoints,
                      fallbacks, hit_ratio)

@@ -79,19 +79,15 @@ class _CliDataError(Exception):
     """Input-data problem (exit 3)."""
 
 
-class _CliArgError(Exception):
-    """Argument/config problem (exit 2)."""
-
-
 def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
     """Resolve --device: a preset name, or a device file path."""
     from . import devices
 
     try:
         return devices.preset(spec_arg)
-    except devices.UnknownPresetError as unknown:
+    except devices.UnknownPresetError:
         if not os.path.exists(spec_arg):
-            raise _CliArgError(str(unknown)) from None
+            raise  # a ValueError: exit 2
     try:
         catalog = devices.load_device_file(spec_arg)
     except ValueError as err:  # DeviceFileError included
@@ -103,13 +99,13 @@ def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
     if device_name is None:
         if len(catalog) > 1:
             names = ", ".join(d.name for d in catalog)
-            raise _CliArgError(
+            raise ValueError(
                 f"{spec_arg} holds {len(catalog)} devices ({names}); pick one with --device-name")
         return catalog[0]
     for dev in catalog:
         if dev.name == device_name:
             return dev
-    raise _CliArgError(f"no device named {device_name!r} in {spec_arg}")
+    raise ValueError(f"no device named {device_name!r} in {spec_arg}")
 
 
 # --- breakeven -------------------------------------------------------------
@@ -121,10 +117,10 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
         dev = _load_device(args.device, args.device_name)
         page = args.page_bytes
         if page is not None and not 0 < page < math.inf:
-            raise _CliArgError("--page-bytes must be finite and > 0")
+            raise ValueError("--page-bytes must be finite and > 0")
         if dev.kind == "ram":
-            raise _CliArgError("RAM is the cache side of the trade; "
-                               "--device must name a disk or tape_robot")
+            raise ValueError("RAM is the cache side of the trade; "
+                             "--device must name a disk or tape_robot")
         if dev.kind == "disk" and page is None:
             tp = rules.TechnologyParams(rules.BINARY_MB / RATED_PAGE_BYTES,
                                         dev.spec.accesses_per_sec)
@@ -145,7 +141,7 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
                                       ("--device-price", args.device_price))
                if val is None]
     if missing:
-        raise _CliArgError(f"need --device or explicit {', '.join(missing)}")
+        raise ValueError(f"need --device or explicit {', '.join(missing)}")
     tp = rules.TechnologyParams(args.pages_per_mb, args.accesses_per_sec)
     ep = rules.EconomicParams(args.device_price,
                               DEFAULT_RAM_PRICE if args.ram_price is None else args.ram_price)
@@ -180,7 +176,7 @@ def _cmd_seqrule(args):
             sizes = _parse_size_list(args.page_sizes)
         else:
             if not (0 < args.page_min < math.inf and args.page_max < math.inf):
-                raise _CliArgError("--page-min must be finite and > 0, --page-max finite")
+                raise ValueError("--page-min must be finite and > 0, --page-max finite")
             sizes = []
             size = args.page_min
             while size <= args.page_max:
@@ -198,7 +194,7 @@ def _cmd_seqrule(args):
         interval = rules.asymptotic_sequential_interval(args.bandwidth_bps, ep)
         return "bandwidth_bps,interval_s", [(args.bandwidth_bps, interval)], []
     if args.transfer_bytes is None:
-        raise _CliArgError("need --transfer-bytes (or --curve / --asymptote)")
+        raise ValueError("need --transfer-bytes (or --curve / --asymptote)")
     sp = rules.SequentialParams(args.transfer_bytes, args.bandwidth_bps)
     interval = rules.sequential_break_even(sp, ep, args.passes)
     return ("transfer_bytes,bandwidth_bps,passes,interval_s",
@@ -218,12 +214,12 @@ def _cmd_sortplan(args):
                  else args.one_pass_threshold)
     if args.max_file:
         if args.memory_bytes is None:
-            raise _CliArgError("--max-file needs --memory-bytes")
+            raise ValueError("--max-file needs --memory-bytes")
         largest = sorting.max_two_pass_file(args.memory_bytes, buffer_bytes, c_buf, c_sqrt)
         return ("memory_bytes,buffer_bytes,max_file_bytes",
                 [(args.memory_bytes, buffer_bytes, largest)], [])
     if args.file_bytes is None:
-        raise _CliArgError("need --file-bytes (or --max-file)")
+        raise ValueError("need --file-bytes (or --max-file)")
     memory_needed = sorting.two_pass_memory(args.file_bytes, buffer_bytes, c_buf, c_sqrt)
     recommended = sorting.choose_pass_count(args.file_bytes, threshold)
     if args.memory_bytes is None:
@@ -278,7 +274,7 @@ def _cmd_indexsize(args):
                  "latencies and do not match a fixed 10 ms model; rows above "
                  "use the 10 ms formula."])
     if args.page_bytes is None and not args.candidates:
-        raise _CliArgError("need --page-bytes, --candidates, --table6 or --figure7")
+        raise ValueError("need --page-bytes, --candidates, --table6 or --figure7")
     params = indexing.IndexParams(entry_bytes=args.entry_bytes,
                                   fill_factor=args.fill,
                                   n_items=args.n_items)
@@ -319,7 +315,7 @@ def _cmd_metrics(args):
         rows = [[field] + [getattr(r, field) for r in reports] for field in _METRIC_FIELDS]
         return "metric," + ",".join(r.device for r in reports), rows, [_TAPE_TBSCAN_NOTE]
     if args.device is None:
-        raise _CliArgError("need --device or --table8")
+        raise ValueError("need --device or --table8")
     dev = _load_device(args.device, args.device_name)
     report = metrics.metric_report(dev, rent)
     return ("device," + ",".join(_METRIC_FIELDS),
@@ -366,7 +362,7 @@ def _gen_trace(args, out) -> None:
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="")
         except OSError as err:
-            raise _CliArgError(f"cannot write --out {args.out}: {err.strerror}") from None
+            raise ValueError(f"cannot write --out {args.out}: {err.strerror}") from None
         with fh:
             bufferpool.write_trace_csv(trace, fh)
 
@@ -399,9 +395,9 @@ def _parse_size_list(text: str) -> list[float]:
     try:
         sizes = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _CliArgError(f"bad size list {text!r}; expected comma-separated numbers")
+        raise ValueError(f"bad size list {text!r}; expected comma-separated numbers")
     if not sizes:
-        raise _CliArgError("size list is empty")
+        raise ValueError("size list is empty")
     return sizes
 
 
@@ -532,8 +528,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except _CliDataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    # ConfigError and other bad parameters; OverflowError: a float result too large for an int
-    except (_CliArgError, ValueError, OverflowError) as err:
+    # bad arguments, ConfigError included; OverflowError: a float result too large for an int
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

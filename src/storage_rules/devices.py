@@ -10,6 +10,7 @@ and preset lookups return the shared instances rather than copies.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -29,8 +30,8 @@ class DeviceFileError(ValueError):
 def _require_positive(obj, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
-        if not value > 0:
-            raise ValueError(f"{type(obj).__name__}.{name} must be > 0, got {value!r}")
+        if not 0 < value < math.inf:  # also false for NaN
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,9 @@ class RamSpec:
     bandwidth_bps: float       # bytes/s
 
     def __post_init__(self):
+        # price_dollars last: it underflows to 0 when both factors are tiny
         _require_positive(self, "price_per_mb", "unit_capacity_bytes",
-                          "latency_s", "bandwidth_bps")
+                          "latency_s", "bandwidth_bps", "price_dollars")
 
     @property
     def price_dollars(self) -> float:
@@ -218,8 +220,9 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
             raise DeviceFileError(
                 f"device {name!r}: {key} = {raw!r} is not a number", start_line) from None
         if expected[key].type in ("int", int):
-            if num != int(num):
-                raise ValueError(f"{spec_cls.__name__}.{key} must be an integer, got {raw!r}")
+            if not num.is_integer():  # also false for NaN and infinities
+                raise DeviceFileError(f"device {name!r}: {spec_cls.__name__}.{key} must be "
+                                      f"an integer, got {raw!r}", start_line)
             values[key] = int(num)
         else:
             values[key] = num
@@ -227,7 +230,10 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
     if missing:
         raise DeviceFileError(
             f"device {name!r}: missing keys {', '.join(missing)}", start_line)
-    return DeviceSpec(name, kind, spec_cls(**values))
+    try:
+        return DeviceSpec(name, kind, spec_cls(**values))
+    except ValueError as err:
+        raise DeviceFileError(f"device {name!r}: {err}", start_line) from None
 
 
 def parse_device_file(text: str) -> list[DeviceSpec]:

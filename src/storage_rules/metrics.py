@@ -86,7 +86,8 @@ def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> flo
     spec = device.spec
     stream_s = TB / spec.bandwidth_bps
     if isinstance(spec, TapeRobotSpec):
-        stream_s += math.ceil(TB / spec.tape_capacity_bytes) * spec.mount_time_s
+        mounts = TB / spec.tape_capacity_bytes  # inf for a tape too small to count
+        stream_s += (math.ceil(mounts) if mounts < math.inf else mounts) * spec.mount_time_s
     return dollar_rate(device.price_dollars, rent) * stream_s
 
 

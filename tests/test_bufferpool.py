@@ -388,6 +388,8 @@ def test_times_at_checkpoint_boundaries_match_brute_force(cp, k0, steps, frames,
 # slot unprotected while its earlier protected load is still queued to
 # lapse; in the second, two fallbacks leave three protections queued for
 # one frame, and only the last must survive the compaction to lapse at 14.
+# In the third, reloads at one time queue the same protection for a frame
+# more than once, and only one of them may lapse it.
 @settings(deadline=None)
 @example(steps=[(0.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 3, "read"),
                 (8.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 2, "read")],
@@ -395,6 +397,10 @@ def test_times_at_checkpoint_boundaries_match_brute_force(cp, k0, steps, frames,
 @example(steps=[(0.0, 1, "read"), (1.0, 2, "read"), (1.0, 1, "read"), (1.0, 2, "read"),
                 (1.0, 1, "read"), (11.0, 3, "read"), (5.0, 3, "read")],
          frames=1, n_share=0.5)
+@example(steps=[(0.0, 1, "read"), (1.0, 2, "write"), (0.0, 3, "read"), (0.0, 1, "read"),
+                (0.0, 2, "read"), (0.0, 3, "write"), (0.0, 1, "read"), (0.0, 2, "read"),
+                (8.0, 4, "read"), (0.0, 1, "write"), (0.5, 2, "read"), (8.0, 3, "read")],
+         frames=2, n_share=0.5)
 @given(steps=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 8.0]),
                                 st.integers(1, 24),
                                 st.sampled_from(["read", "write"])), min_size=50, max_size=200),
@@ -459,15 +465,19 @@ def test_trace_and_its_event_list_give_the_same_run(steps, seed, frames, n):
 
 def test_auxiliary_state_stays_bounded_when_every_frame_is_protected():
     # every load re-reads a page within N, so protections pile up behind
-    # the fallback evictions; only the last one per frame may be kept
-    for policy in ("lru", "clock2"):
-        tracemalloc.start()
-        rep = simulate(((float(k), k % 3, "read") for k in range(5000)),
-                       PoolConfig(frames=2, base_policy=policy, n_minute_s=1e9))
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert rep.protected_eviction_fallbacks == 4995
-        assert peak < 64 * 1024, (policy, peak)
+    # the fallback evictions; only the last one per frame may be kept.  In
+    # the second trace every event comes at one time, so the reloads of a
+    # frame queue one (protected_until, slot) entry again and again.
+    traces = [(lambda: ((float(k), k % 3, "read") for k in range(5000)), 1e9, 4995),
+              (lambda: ((0.0, k % 3, "read") for k in range(20000)), 1.0, 19995)]
+    for events, n, fallbacks in traces:
+        for policy in ("lru", "clock2"):
+            tracemalloc.start()
+            rep = simulate(events(), PoolConfig(frames=2, base_policy=policy, n_minute_s=n))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert rep.protected_eviction_fallbacks == fallbacks
+            assert peak < 64 * 1024, (policy, n, peak)
 
 
 def test_dirty_frame_state_stays_bounded_when_no_boundary_is_reached():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import resource
@@ -112,6 +113,74 @@ def test_breakeven_malformed_device_file_exits_3(tmp_path):
     assert run("breakeven", "--device", str(path))[0] == 3
     assert run("metrics", "--device", str(path)) == (3, "")
     assert run("breakeven", "--device", str(tmp_path)) == (3, "")  # a directory
+
+
+# Valid fields of each device kind, as a device file spells them.
+DEVICE_FIELDS = {
+    "ram": {"price_per_mb": "15", "unit_capacity_bytes": "1e9", "latency_s": "1e-7",
+            "bandwidth_bps": "5e8"},
+    "disk": {"price_dollars": "2000", "capacity_bytes": "9e9", "latency_s": "0.01",
+             "bandwidth_bps": "1e7", "accesses_per_sec": "64"},
+    "tape_robot": {"price_dollars": "9000", "tape_count": "14", "tape_capacity_bytes": "35e9",
+                   "mount_time_s": "30", "bandwidth_bps": "5e6"},
+}
+
+
+def device_block(name, kind, **changes):
+    """A [device] block of the kind's valid fields, with changes applied."""
+    fields = {**DEVICE_FIELDS[kind], **changes}
+    return "".join([f"[device]\nname = {name}\nkind = {kind}\n",
+                    *(f"{key} = {value}\n" for key, value in fields.items())])
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("ram", {"latency_s": "inf"}),
+    ("ram", {"price_per_mb": "1e-300", "unit_capacity_bytes": "1e-300"}),  # price 0.0
+    ("tape_robot", {"mount_time_s": "inf"}),
+    ("tape_robot", {"tape_count": "inf"}),
+    ("tape_robot", {"tape_count": "1e400"}),
+    ("tape_robot", {"tape_count": "2.5"}),
+    ("tape_robot", {"tape_count": "nan"}),
+    ("disk", {"price_dollars": "inf"}),
+])
+def test_bad_device_values_exit_3_at_the_block_line(tmp_path, capsys, kind, changes):
+    path = tmp_path / "bad.device"
+    path.write_text("# one device\n" + device_block("x", kind, **changes), encoding="utf-8")
+    for command in ("metrics", "breakeven"):
+        assert run(command, "--device", str(path)) == (3, "")
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {path}: line 2: device 'x': "), err
+
+
+def test_metrics_of_tapes_too_small_to_count_scans_a_terabyte_in_infinite_time(tmp_path):
+    # a terabyte takes 1e312 tapes, a count that no int conversion survives
+    path = tmp_path / "dust.device"
+    path.write_text(device_block("t", "tape_robot", tape_capacity_bytes="1e-300"),
+                    encoding="utf-8")
+    code, out = run("metrics", "--device", str(path), "--format", "csv")
+    assert code == 0
+    header, (row,) = csv_rows(out)
+    assert dict(zip(header, row))["dollars_per_tbscan"] == "inf"
+
+
+def test_device_file_with_two_devices_needs_a_name(tmp_path, capsys):
+    path = tmp_path / "two.device"
+    path.write_text(device_block("a", "disk") + device_block("b", "disk"), encoding="utf-8")
+    assert run("breakeven", "--device", str(path)) == (2, "")
+    assert capsys.readouterr().err == (f"error: {path} holds 2 devices (a, b); "
+                                       "pick one with --device-name\n")
+    code, out = run("breakeven", "--device", str(path), "--device-name", "b", "--format", "csv")
+    assert code == 0
+    assert float(csv_rows(out)[1][0][2]) == pytest.approx(266.667, abs=0.001)
+    assert run("breakeven", "--device", str(path), "--device-name", "c") == (2, "")
+    assert capsys.readouterr().err == f"error: no device named 'c' in {path}\n"
+
+
+def test_device_file_with_only_a_comment_exits_3(tmp_path, capsys):
+    path = tmp_path / "empty.device"
+    path.write_text("# nothing here\n", encoding="utf-8")
+    assert run("metrics", "--device", str(path)) == (3, "")
+    assert capsys.readouterr().err == f"error: {path}: device file is empty\n"
 
 
 def test_seqrule_point_values():
@@ -529,6 +598,36 @@ def test_analytic_flags_exit_0_or_2_and_never_print_nan(mode, data):
     code, out = run(*argv, "--format", "csv")
     assert code in (0, 2)
     assert "nan" not in [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(sorted(DEVICE_FIELDS)), data=st.data())
+def test_device_file_values_exit_0_or_3_and_never_print_nan(kind, data):
+    changes = {key: data.draw(st.sampled_from(NUMBERS), label=key)
+               for key in DEVICE_FIELDS[kind]}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.device")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# one device\n" + device_block("x", kind, **changes))
+        with contextlib.redirect_stderr(err):
+            code, out = run("metrics", "--device", path, "--format", "csv")
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "nan" not in [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+    else:
+        assert (code, out) == (3, "")
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith(f"error: {path}: line 2: device 'x': "), line
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("x,1", "bad size list 'x,1'; expected comma-separated numbers"),
+    (",", "size list is empty"),
+])
+def test_seqrule_bad_page_sizes_exit_2(capsys, sizes, message):
+    assert run("seqrule", "--curve", "--bandwidth-bps", "1e7", "--page-sizes", sizes) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _TIMES = ["0", "1", "-1", "2.5", "1e25", "nan", "inf", "x", ""]
