@@ -100,7 +100,6 @@ import sys
 from array import array
 from collections import OrderedDict, defaultdict, deque, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 LCG_MULT = 6364136223846793005
@@ -165,14 +164,14 @@ class Trace(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    frames: int
-    base_policy: str = "lru"            # lru | clock2
-    n_minute_s: float = 0.0             # protection lifetime N, in seconds
-    checkpoint_interval_s: float | None = None  # None disables checkpoints
+# base_policy is lru or clock2; n_minute_s is the protection lifetime N,
+# in seconds; checkpoint_interval_s None disables checkpoints
+class PoolConfig(namedtuple("PoolConfig", "frames base_policy n_minute_s checkpoint_interval_s",
+                            defaults=("lru", 0.0, None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if isinstance(self.frames, bool) or not isinstance(self.frames, int) or self.frames <= 0:
             raise ConfigError(f"frames must be a positive integer, got {self.frames!r}")
         if self.base_policy not in ("lru", "clock2"):
@@ -181,17 +180,13 @@ class PoolConfig:
             raise ConfigError(f"n_minute_s must be finite and >= 0, got {self.n_minute_s}")
         if self.checkpoint_interval_s is not None and not self.checkpoint_interval_s > 0:
             raise ConfigError("checkpoint_interval_s must be > 0 or None")
+        return self
 
 
-@dataclass(frozen=True)
-class SimReport:
-    logical_accesses: int
-    physical_reads: int
-    evictions: int
-    contention_flushes: int
-    checkpoint_flushes: int
-    protected_eviction_fallbacks: int
-    hit_ratio: float
+class SimReport(namedtuple("SimReport", "logical_accesses physical_reads evictions "
+                                        "contention_flushes checkpoint_flushes "
+                                        "protected_eviction_fallbacks hit_ratio")):
+    __slots__ = ()
 
     def row(self) -> tuple:
         """The counters in REPORT_HEADER's column order."""

@@ -5,14 +5,17 @@ Conventions: capacities and bandwidths are decimal SI (1 GB = 1e9 bytes,
 5 MB/s = 30 minutes) only come out under decimal units.  Prices fold
 cabinet/controller amortization into a single number.
 
-All spec objects are frozen dataclasses: safe to share across threads,
-and preset lookups return the shared instances rather than copies.
+All spec objects are namedtuples that validate their fields when built:
+immutable, so safe to share across threads, and preset lookups return
+the shared instances rather than copies.  Being tuples, they unpack and
+index, and they compare equal to any tuple with equal fields, a record
+of another type included.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 
 class UnknownPresetError(ValueError):
@@ -20,11 +23,10 @@ class UnknownPresetError(ValueError):
 
 
 class DeviceFileError(ValueError):
-    """Raised for malformed device files; carries the offending line number."""
+    """Raised for malformed device files; the message names the offending line."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
 
 
 def _require_positive(obj, *names: str) -> None:
@@ -34,17 +36,16 @@ def _require_positive(obj, *names: str) -> None:
             raise ValueError(f"{type(obj).__name__}.{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class RamSpec:
-    price_per_mb: float        # $/MB
-    unit_capacity_bytes: float
-    latency_s: float
-    bandwidth_bps: float       # bytes/s
+# price_per_mb in $/MB; bandwidth_bps in bytes/s
+class RamSpec(namedtuple("RamSpec", "price_per_mb unit_capacity_bytes latency_s bandwidth_bps")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # price_dollars last: it underflows to 0 when both factors are tiny
         _require_positive(self, "price_per_mb", "unit_capacity_bytes",
                           "latency_s", "bandwidth_bps", "price_dollars")
+        return self
 
     @property
     def price_dollars(self) -> float:
@@ -52,34 +53,34 @@ class RamSpec:
         return self.price_per_mb * self.unit_capacity_bytes / 1e6
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    price_dollars: float       # drive + amortized cabinet/controller
-    capacity_bytes: float
-    latency_s: float           # average seek + rotation
-    bandwidth_bps: float       # sequential, bytes/s
-    accesses_per_sec: float    # rated random accesses/s at the rated page size
+# price_dollars: drive + amortized cabinet/controller; latency_s: average
+# seek + rotation; bandwidth_bps: sequential, bytes/s; accesses_per_sec:
+# rated random accesses/s at the rated page size
+class DiskSpec(namedtuple("DiskSpec", "price_dollars capacity_bytes latency_s "
+                                      "bandwidth_bps accesses_per_sec")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(self, "price_dollars", "capacity_bytes",
                           "latency_s", "bandwidth_bps", "accesses_per_sec")
         if self.accesses_per_sec > 1.0 / self.latency_s:
             raise ValueError(
                 f"DiskSpec.accesses_per_sec ({self.accesses_per_sec}) exceeds "
                 f"1/latency_s ({1.0 / self.latency_s:.6g})")
+        return self
 
 
-@dataclass(frozen=True)
-class TapeRobotSpec:
-    price_dollars: float
-    tape_count: int
-    tape_capacity_bytes: float
-    mount_time_s: float        # full rewind/unmount/pick/mount/position cycle
-    bandwidth_bps: float
+# mount_time_s: full rewind/unmount/pick/mount/position cycle
+class TapeRobotSpec(namedtuple("TapeRobotSpec", "price_dollars tape_count tape_capacity_bytes "
+                                                "mount_time_s bandwidth_bps")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(self, "price_dollars", "tape_count",
                           "tape_capacity_bytes", "mount_time_s", "bandwidth_bps")
+        return self
 
     @property
     def total_capacity_bytes(self) -> float:
@@ -92,20 +93,22 @@ Payload = RamSpec | DiskSpec | TapeRobotSpec
 _FIELDS_BY_KIND: dict[str, type] = {"ram": RamSpec, "disk": DiskSpec,
                                     "tape_robot": TapeRobotSpec}
 _KIND_FOR_PAYLOAD = {cls: kind for kind, cls in _FIELDS_BY_KIND.items()}
+# payload fields a device file must give as whole numbers
+_INTEGER_KEYS = frozenset({"tape_count"})
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
-    name: str
-    kind: str                  # ram | disk | tape_robot
-    spec: Payload
+# kind: ram | disk | tape_robot
+class DeviceSpec(namedtuple("DeviceSpec", "name kind spec")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         expected = _KIND_FOR_PAYLOAD.get(type(self.spec))
         if expected is None:
             raise ValueError(f"unsupported payload type {type(self.spec).__name__}")
         if self.kind != expected:
             raise ValueError(f"kind {self.kind!r} does not match payload {expected!r}")
+        return self
 
     @property
     def price_dollars(self) -> float:
@@ -193,7 +196,7 @@ def ram_companion(name: str) -> RamSpec | None:
 #   ...
 #
 # Blocks start with `[device]`; keys are the field names of the kind's
-# spec dataclass.  Numbers accept scientific notation.
+# spec record.  Numbers accept scientific notation.
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
@@ -208,7 +211,7 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
             f"device {name!r} has missing or unknown kind {kind!r} "
             f"(expected one of {', '.join(_FIELDS_BY_KIND)})", start_line)
     spec_cls = _FIELDS_BY_KIND[kind]
-    expected = {f.name: f for f in fields(spec_cls)}
+    expected = spec_cls._fields
     values: dict[str, float | int] = {}
     for key, raw in block.items():
         if key not in expected:
@@ -219,7 +222,7 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
         except ValueError:
             raise DeviceFileError(
                 f"device {name!r}: {key} = {raw!r} is not a number", start_line) from None
-        if expected[key].type in ("int", int):
+        if key in _INTEGER_KEYS:
             if not num.is_integer():  # also false for NaN and infinities
                 raise DeviceFileError(f"device {name!r}: {spec_cls.__name__}.{key} must be "
                                       f"an integer, got {raw!r}", start_line)
@@ -279,7 +282,7 @@ def serialize_devices(devices: list[DeviceSpec]) -> str:
     chunks = []
     for dev in devices:
         lines = ["[device]", f"name = {dev.name}", f"kind = {dev.kind}"]
-        for f in fields(dev.spec):
-            lines.append(f"{f.name} = {getattr(dev.spec, f.name)!r}")
+        for key, value in dev.spec._asdict().items():
+            lines.append(f"{key} = {value!r}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + ("\n" if chunks else "")

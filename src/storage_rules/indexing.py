@@ -13,41 +13,39 @@ reproduce to four decimals without flooring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class IndexParams:
-    entry_bytes: float
-    fill_factor: float = 0.7
-    n_items: int | None = None
+class IndexParams(namedtuple("IndexParams", "entry_bytes fill_factor n_items",
+                             defaults=(0.7, None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.entry_bytes > 0:
             raise ValueError("entry_bytes must be > 0")
         if not 0.0 < self.fill_factor <= 1.0:
             raise ValueError("fill_factor must be in (0, 1]")
         if self.n_items is not None and self.n_items < 1:
             raise ValueError("n_items must be >= 1 when given")
+        return self
 
 
-@dataclass(frozen=True)
-class PageCostModel:
-    latency_s: float
-    bandwidth_bps: float       # decimal: 10 MB/s = 1e7
+# bandwidth_bps is decimal: 10 MB/s = 1e7
+class PageCostModel(namedtuple("PageCostModel", "latency_s bandwidth_bps")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.latency_s > 0 and self.bandwidth_bps > 0):
             raise ValueError("PageCostModel fields must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class PageEvaluation:
-    page_bytes: float
-    entries_per_page: float
-    utility: float             # binary-tree levels resolved per fetch
-    access_cost_s: float
-    benefit_cost: float        # utility per millisecond of access cost
+# utility: binary-tree levels resolved per fetch; benefit_cost: utility
+# per millisecond of access cost
+PageEvaluation = namedtuple("PageEvaluation", "page_bytes entries_per_page utility "
+                                              "access_cost_s benefit_cost")
 
 
 def entries_per_page(page_bytes: float, params: IndexParams) -> float:
@@ -118,11 +116,11 @@ def evaluate_grid(page_sizes: list[float], axis: str, values: list[float],
     axis="bandwidth_bps" varies disk bandwidth at a fixed entry size.
     """
     rows = []
-    for v in values:
+    for v in values:  # built through the classes: _replace would skip their checks
         if axis == "entry_bytes":
-            p, m = replace(params, entry_bytes=v), model
+            p, m = IndexParams(v, params.fill_factor, params.n_items), model
         elif axis == "bandwidth_bps":
-            p, m = params, replace(model, bandwidth_bps=v)
+            p, m = params, PageCostModel(model.latency_s, v)
         else:
             raise ValueError(f"axis must be entry_bytes or bandwidth_bps, got {axis!r}")
         rows.append([evaluate_page(s, p, m) for s in page_sizes])

@@ -12,7 +12,7 @@ Everything here is decimal SI: KB = 1000 bytes, MB = 1e6, TB = 1e12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .devices import DeviceSpec, RamSpec, TapeRobotSpec
 
@@ -23,24 +23,18 @@ MB = 1e6
 TB = 1e12
 
 
-@dataclass(frozen=True)
-class RentModel:
-    depreciation_s: float = float(THREE_YEARS_S)
+class RentModel(namedtuple("RentModel", "depreciation_s", defaults=(float(THREE_YEARS_S),))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.depreciation_s > 0:
             raise ValueError("depreciation_s must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    device: str
-    kaps: float
-    maps: float
-    scan_s: float
-    dollars_per_kaps: float
-    dollars_per_maps: float
-    dollars_per_tbscan: float
+MetricReport = namedtuple("MetricReport", "device kaps maps scan_s dollars_per_kaps "
+                                          "dollars_per_maps dollars_per_tbscan")
 
 
 def access_rate(device: DeviceSpec, nbytes: float) -> float:

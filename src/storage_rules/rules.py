@@ -12,65 +12,63 @@ pages/MB, and 64 KB transfers at 5 * 2**20 B/s give 80 transfers/s, the
 figures this arithmetic is calibrated against.  Decimal-unit modules
 (storage metrics) convert at their own boundary.
 
-Everything in this module is a pure function over frozen inputs.
+Everything in this module is a pure function over immutable inputs:
+namedtuples that validate their fields when built.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 BINARY_MB = float(2**20)
 
 
-@dataclass(frozen=True)
-class TechnologyParams:
-    pages_per_mb: float
-    accesses_per_sec: float
+class TechnologyParams(namedtuple("TechnologyParams", "pages_per_mb accesses_per_sec")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.pages_per_mb < math.inf and 0 < self.accesses_per_sec < math.inf):
             raise ValueError("TechnologyParams fields must be finite and > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class EconomicParams:
-    device_price_dollars: float
-    ram_price_per_mb: float
+class EconomicParams(namedtuple("EconomicParams", "device_price_dollars ram_price_per_mb")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.device_price_dollars < math.inf
                 and 0 < self.ram_price_per_mb < math.inf):
             raise ValueError("EconomicParams fields must be finite and > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class BreakEvenResult:
-    technology_ratio: float
-    economic_ratio: float
-    interval_s: float
+BreakEvenResult = namedtuple("BreakEvenResult", "technology_ratio economic_ratio interval_s")
 
 
-@dataclass(frozen=True)
-class SequentialParams:
-    transfer_bytes: float
-    bandwidth_bps: float
+class SequentialParams(namedtuple("SequentialParams", "transfer_bytes bandwidth_bps")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.transfer_bytes < math.inf and 0 < self.bandwidth_bps < math.inf):
             raise ValueError("SequentialParams fields must be finite and > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class RaidAdjustment:
-    level: str                 # none | raid1 | raid5
-    read_multiplier: float     # cost factor on reads
-    write_multiplier: float    # cost factor on writes
+# level: none | raid1 | raid5; the multipliers are cost factors on reads
+# and on writes
+class RaidAdjustment(namedtuple("RaidAdjustment", "level read_multiplier write_multiplier")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.level not in ("none", "raid1", "raid5"):
             raise ValueError(f"unknown RAID level {self.level!r}")
         if not (self.read_multiplier > 0 and self.write_multiplier > 0):
             raise ValueError("RAID multipliers must be > 0")
+        return self
 
 
 # Mirroring slightly cheapens reads and nearly doubles writes; parity

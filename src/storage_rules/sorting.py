@@ -13,7 +13,7 @@ feasibility of a concrete plan is separate ceil/floor arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_C_BUF = 6.0
 DEFAULT_C_SQRT = 3.0
@@ -35,12 +35,9 @@ class PlanError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class SortPlan:
-    passes: int                  # 1 or 2
-    memory_required_bytes: float  # rule-of-thumb memory, not the bare minimum
-    run_count: int
-    fan_in: int
+# passes is 1 or 2; memory_required_bytes is the rule-of-thumb memory,
+# not the bare minimum
+SortPlan = namedtuple("SortPlan", "passes memory_required_bytes run_count fan_in")
 
 
 def two_pass_memory(file_bytes: float, buffer_bytes: float,

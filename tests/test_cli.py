@@ -567,6 +567,28 @@ def test_simulate_loads_neither_rules_nor_typing(tmp_path):
     assert proc.stdout.strip() == "0 False False"
 
 
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    trace_path = tmp_path / "aba.csv"
+    trace_path.write_text("time,page,op\n0,A,r\n1,B,w\n2,A,r\n", encoding="utf-8")
+    commands = [
+        ["presets"],
+        ["breakeven", "--device", "dell_tpcc_1997"],
+        ["breakeven", "--device", "dell_tpcc_1997", "--page-bytes", "8192"],
+        ["seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20)],
+        ["sortplan", "--file-bytes", "1e11", "--memory-bytes", "1e8"],
+        ["indexsize", "--figure7"],
+        ["metrics", "--table8"],
+        ["simulate", "--trace", str(trace_path), "--frames", "1", "--format", "csv"],
+    ]
+    # -S: no site hooks, which may load either module themselves
+    proc = run_cold("-S", "-c", "import io, sys; from storage_rules.cli import main\n"
+                                f"for argv in {commands!r}:\n"
+                                "    assert main(argv, out=io.StringIO()) == 0, argv\n"
+                                "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 # Numeric flags of the analytic commands, one mode per entry.
 ANALYTIC_FLAGS = [
     (["breakeven", "--device", "dell_tpcc_1997"], ["--page-bytes", "--ram-price"]),

@@ -103,6 +103,13 @@ def test_evaluate_grid_single_cell_and_bad_axis():
         indexing.evaluate_grid([2048], "fill", [0.5], ENTRY16, REFERENCE_MODEL)
 
 
+@pytest.mark.parametrize("axis, message", [("entry_bytes", "entry_bytes must be > 0"),
+                                           ("bandwidth_bps", "PageCostModel fields")])
+def test_evaluate_grid_validates_each_axis_value(axis, message):
+    with pytest.raises(ValueError, match=message):
+        indexing.evaluate_grid([2048], axis, [0], ENTRY16, REFERENCE_MODEL)
+
+
 ladder = [2.0**k for k in range(10, 21)]  # 1 KB .. 1 MB
 
 
