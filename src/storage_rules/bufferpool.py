@@ -29,14 +29,10 @@ with this one event for event:
 * With a checkpoint interval C, boundary k*C (k = 1, 2, ...) cleans the
   frames first dirtied before (k-1)*C, one checkpoint flush each.  Only
   the last boundary <= t acts before the event at t (cutoffs only grow
-  and nothing is dirtied in between); it only sets the cutoff, and a
-  frame dirtied before it has that flush settled at its next touch (an
-  eviction counts it instead of a contention flush, a write counts it
-  and dirties the frame anew), so no cost grows with the boundaries
-  crossed or the pool size.  Once a boundary is passed, t/C >= 2**53
-  (where boundaries stop being distinct floats) raises TraceOrderError.
-  A final checkpoint at end of trace cleans every dirty frame; no
-  interval, no checkpoints at all.
+  and nothing is dirtied in between).  A time at or past boundary 2**53,
+  C * 2**53 (t/C >= 2**53, where boundaries stop being distinct floats),
+  raises TraceOrderError.  A final checkpoint at end of trace cleans
+  every dirty frame; no interval, no checkpoints at all.
 * Clock2 keeps one reference bit per frame in a fixed ring of slots
   filled in index order; the hand starts at slot 0 and stops just past
   the victim.  Loads and hits set the bit.  The sweep skips ineligible
@@ -44,7 +40,16 @@ with this one event for event:
   protection.
 * LRU victims are least-recently-used; hits and loads both count as use.
 
-Cost.  No eviction visits a protected frame, save to park it (LRU, once
+Cost.  Nothing happens at a checkpoint boundary.  A dirty frame's
+checkpoint flush is settled at its next write or eviction, from the time
+d it was first dirtied (an eviction then counts no contention flush, a
+write dirties the frame anew), and the final checkpoint settles the
+rest.  Once t >= C, d <= t - 8C has been flushed and d >= t - C has not;
+only in between is the last boundary's cutoff computed, and only if a
+boundary has passed since it last was (the proof is at _QUICK_ACCEPT).
+So no cost grows with the boundaries crossed or the pool size.
+
+No eviction visits a protected frame, save to park it (LRU, once
 per load or hit) or in a fallback, where every frame is protected;
 auxiliary state is O(frames).  Every protection runs N seconds from a
 non-decreasing t, so protections lapse in the order they were granted:
@@ -200,6 +205,29 @@ class SimReport(namedtuple("SimReport", "logical_accesses physical_reads evictio
             for cell in self.row()) + "\n"
 
 
+# The quick accept: once t >= C, a frame dirtied at d <= fl(t - 8C) has
+# been flushed.  Let u = 2**-53 and K the last boundary, so K >= 1 and
+# b = fl(K*C) <= t < fl((K+1)*C).  Then (K+1)*C > t*(1-u), so
+# b > t*(1-2u) - C and the cutoff fl(b - C) > t*(1-3u) - 2C > t - 5C, since
+# u*t < C for t < C * 2**53.  8C is exact and
+# fl(t - 8C) < t - 8C + max(u*t, 8uC) < t - 7C, so d < the cutoff.  (A
+# subnormal result errs by at most 2**-1075 <= C/2, which the margin covers.)
+# Conversely d >= fl(t - C) has not been flushed: b <= t gives
+# fl(b - C) <= fl(t - C).
+_QUICK_ACCEPT = 8
+
+
+def _boundary(t: float, cp: float) -> tuple[float, float]:
+    """The cutoff at t and the next boundary, for cp <= t < cp * 2**53."""
+    # below 2**53 floor(t/C) is within one of the last k with k*C <= t
+    k = math.floor(t / cp)
+    if k * cp > t:
+        k -= 1
+    elif (k + 1) * cp <= t:
+        k += 1
+    return k * cp - cp, (k + 1) * cp
+
+
 def simulate(trace: Iterable[tuple], config: PoolConfig,
              event_log: list | None = None) -> SimReport:
     """Run the pool over a time-ordered trace and return the counters.
@@ -234,37 +262,37 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     slot_page = []
     protected = []
     parked_at = []  # park number of a parked page, else 0
-    dirtied = []  # time of the first write since the last flush, inf if clean
+    dirtied = []  # time of the first write since the last flush; clean if -inf or < cutoff(t)
     ref = bytearray()  # bit 0: Clock2 reference bit; bit 1: protected
     expiries = deque()  # (protected_until, slot) per protected load, oldest first
     n_protected = 0
     lapsed = []  # heap of (park number, slot) of parked pages no longer protected
     park_no = 0
     hand = 0
-    logical = physical = evictions = contention = checkpoints = fallbacks = 0
+    logical = physical = evictions = contention = dirtyings = fallbacks = 0
     inf = math.inf
-    next_boundary = cp if cp is not None else inf
-    cutoff = -inf  # frames dirty since before it were flushed by a checkpoint
+    # A frame dirtied at d is flushed by t iff d < cutoff(t), which is settled
+    # at its next write or eviction.  cutoff (-inf until a refresh) never
+    # exceeds cutoff(t), and equals it while t < next_boundary.  Once t >= C,
+    # lag = C and margin = _QUICK_ACCEPT * C; before that, and with
+    # checkpoints off, both are inf, so t - lag and t - margin are -inf.
+    cutoff, next_boundary = -inf, cp
+    lag = margin = inf
+    t_next = cp if cp is not None else inf  # the loop's next rule change
     prev_t = -sys.float_info.max  # below every finite time, above -inf
 
     for t, page, op in events:
-        if not prev_t <= t < inf:  # also false for NaN
-            if math.isfinite(t):
-                raise TraceOrderError(f"trace is not time-ordered: {t} after {prev_t}")
-            raise TraceOrderError(f"trace times must be finite, got {t}")
-        prev_t = t
-
-        if t >= next_boundary:
-            # below 2**53 floor(t/C) is within one of the last k with k*C <= t
-            if not t / cp < 2**53:
+        if not prev_t <= t < t_next:  # also false for NaN
+            if not prev_t <= t < inf:
+                if math.isfinite(t):
+                    raise TraceOrderError(f"trace is not time-ordered: {t} after {prev_t}")
+                raise TraceOrderError(f"trace times must be finite, got {t}")
+            if t_next == cp:  # the first boundary is passed
+                lag, margin, t_next = cp, _QUICK_ACCEPT * cp, cp * 2**53
+            # C * 2**53 is exact when finite, and boundary 2**53 itself
+            if t >= t_next:
                 raise TraceOrderError(f"time {t} is 2**53 or more checkpoint intervals of {cp} s")
-            k = math.floor(t / cp)
-            if k * cp > t:
-                k -= 1
-            elif (k + 1) * cp <= t:
-                k += 1
-            next_boundary = (k + 1) * cp
-            cutoff = k * cp - cp
+        prev_t = t
 
         logical += 1
         i = slot_of.get(page)
@@ -286,7 +314,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 slot_page.append(None)
                 protected.append(0.0)
                 parked_at.append(0)
-                dirtied.append(inf)
+                dirtied.append(-inf)
                 ref.append(0)
             else:
                 while expiries and expiries[0][0] <= t:
@@ -347,12 +375,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 evictions += 1
                 if was_fallback:
                     fallbacks += 1
-                if dirtied[i] < inf:
-                    if dirtied[i] < cutoff:
-                        checkpoints += 1
-                    else:
+                d = dirtied[i]
+                if d > t - margin:  # dirty, unless a checkpoint flushed it
+                    if d <= t - lag and t >= next_boundary:
+                        cutoff, next_boundary = _boundary(t, cp)
+                    if d >= cutoff:
                         contention += 1
-                    dirtied[i] = inf
+                        dirtied[i] = -inf
                 if event_log is not None:
                     event_log.append(("evict", t, old if label is None else label(old),
                                       protected[i], was_fallback))
@@ -369,16 +398,22 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
             else:
                 ref[i] = 1
         if op == "write":
-            if dirtied[i] < cutoff:  # flushed by a checkpoint since
-                checkpoints += 1
-                dirtied[i] = t
-            elif dirtied[i] == inf:
-                dirtied[i] = t
+            d = dirtied[i]
+            if d <= t - lag:  # clean, or dirty since t - C or before
+                if d <= t - margin:  # clean, or surely flushed by a checkpoint
+                    dirtied[i] = t
+                    dirtyings += 1
+                else:
+                    if t >= next_boundary:
+                        cutoff, next_boundary = _boundary(t, cp)
+                    if d < cutoff:
+                        dirtied[i] = t
+                        dirtyings += 1
         history[page] = t
 
-    if cp is not None:
-        # one flush per dirty frame, at a boundary or at the end
-        checkpoints += len(dirtied) - dirtied.count(inf)
+    # every dirty spell ends in one flush: an eviction's, or with checkpoints
+    # a boundary's or the final checkpoint's
+    checkpoints = dirtyings - contention if cp is not None else 0
     hit_ratio = 1.0 - physical / logical if logical else 0.0
     return SimReport(logical, physical, evictions, contention, checkpoints,
                      fallbacks, hit_ratio)

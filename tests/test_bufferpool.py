@@ -380,6 +380,89 @@ def test_times_at_checkpoint_boundaries_match_brute_force(cp, k0, steps, frames,
         assert got == brute_force_simulate(trace, frames, policy, n, cp), policy
 
 
+# Page A is dirtied at d and next touched, by a read, a write or an
+# eviction, at fl(d + j*C) or one float to either side, for j around one
+# interval and around the 8 intervals past which a flush is taken as
+# settled without computing the boundary.  d lies on a boundary or off
+# one and may be negative, so the first boundary may not have passed; a
+# dirty page P written before d leaves a cutoff set at d (one frame) or
+# stays dirty beside A (two frames).  The example fails if dirt two
+# intervals old is taken as flushed.
+@settings(deadline=None)
+@example(cp=0.1, k=12, d_side=-1, j=1, t_side=-1, touch="read", prior=2, frames=1, n_share=0.0)
+@given(cp=st.sampled_from([0.1, 1 / 3, 7.0]),
+       k=st.integers(-10, 12),
+       d_side=st.sampled_from([-1, 0, 1, 0.5]),
+       j=st.sampled_from([1, 2, 3, 7, 8, 9]),
+       t_side=st.sampled_from([-1, 0, 1]),
+       touch=st.sampled_from(["read", "write", "evict"]),
+       prior=st.sampled_from([None, 1, 2, 9]),
+       frames=st.integers(1, 2),
+       n_share=st.sampled_from([0.0, 2.0]))
+def test_next_touch_around_the_settling_margin_matches_brute_force(
+        cp, k, d_side, j, t_side, touch, prior, frames, n_share):
+    if d_side == 0.5:
+        d = (k + 0.5) * cp
+    else:
+        d = math.nextafter(k * cp, d_side * math.inf) if d_side else k * cp
+    t = d + j * cp
+    t = math.nextafter(t, t_side * math.inf) if t_side else t
+    trace = [] if prior is None else [TraceEvent(d - prior * cp, "P", "write")]
+    trace.append(TraceEvent(d, "A", "write"))
+    if touch == "evict":
+        trace.append(TraceEvent(t, "B", "read"))
+    else:
+        trace.append(TraceEvent(t, "A", touch))
+    trace.append(TraceEvent(t, "A", "write"))
+    n = n_share * j * cp
+    for policy in ("lru", "clock2"):
+        got = simulate(trace, PoolConfig(frames, policy, n, cp))
+        assert got == brute_force_simulate(trace, frames, policy, n, cp), policy
+
+
+# Events on or one float beside the last 40 boundaries below 2**53
+# intervals, where adjacent floats are up to two intervals apart, but
+# never at or past C * 2**53, the first time rejected.  The oracle reaches
+# them by skipping the boundaries where nothing is dirty.  The example
+# fails if dirt two intervals old is taken as flushed.
+@settings(deadline=None)
+@example(cp=1 / 3, k0=-1, steps=[(0, -1, 1, "write"), (0, 0, 1, "write")], frames=1, n=0.0)
+@given(cp=st.sampled_from([0.1, 1 / 3, 7.0]),
+       k0=st.integers(-40, -1),
+       steps=st.lists(st.tuples(st.integers(0, 10),
+                                st.sampled_from([-1, 0, 1]),
+                                st.integers(1, 3),
+                                st.sampled_from(["read", "write"])), min_size=1, max_size=30),
+       frames=st.integers(1, 3),
+       n=st.sampled_from([0.0, 5.0]))
+def test_times_just_below_2_pow_53_intervals_match_brute_force(cp, k0, steps, frames, n):
+    last = math.nextafter(cp * 2**53, 0)
+    trace = []
+    k = 2**53 + k0
+    for dk, side, page, op in steps:
+        k += dk
+        t = math.nextafter(k * cp, side * math.inf) if side else k * cp
+        t = min(max(t, trace[-1].time_s) if trace else t, last)
+        trace.append(TraceEvent(t, page, op))
+    for policy in ("lru", "clock2"):
+        got = simulate(trace, PoolConfig(frames, policy, n, cp))
+        assert got == brute_force_simulate(trace, frames, policy, n, cp), policy
+
+
+# The far event comes first, or after one before the first boundary
+@pytest.mark.parametrize("cp", [0.1, 1 / 3, 1.0, 7.0, 1e-300])
+def test_2_pow_53_intervals_is_the_first_time_rejected(cp):
+    last = math.nextafter(cp * 2**53, 0)
+    for t, n_before in ((last, 0), (last, 1), (cp * 2**53, 0), (cp * 2**53, 1)):
+        trace = [TraceEvent(cp / 2, "A", "read")][:n_before] + [TraceEvent(t, "B", "write")]
+        config = PoolConfig(frames=1, checkpoint_interval_s=cp)
+        if t == last:
+            assert simulate(trace, config) == brute_force_simulate(trace, 1, "lru", 0.0, cp)
+        else:
+            with pytest.raises(TraceOrderError, match=r"2\*\*53"):
+                simulate(trace, config)
+
+
 # N is a tenth or half of the trace's span (some frames protected, some
 # protections lapsing while the LRU scan holds their pages parked) or
 # beyond it (every re-read protected, most evictions fallbacks); with
