@@ -123,7 +123,7 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
                              "--device must name a disk or tape_robot")
         if dev.kind == "disk" and page is None:
             tp = rules.TechnologyParams(rules.BINARY_MB / RATED_PAGE_BYTES,
-                                        dev.spec.accesses_per_sec)
+                                        dev.accesses_per_sec)
         else:
             from . import metrics
 
@@ -331,12 +331,11 @@ _PRESET_COLS = ["name", "kind", "price_dollars", "price_per_mb", "capacity_bytes
 
 
 def _preset_row(dev: devices.DeviceSpec) -> list:
-    spec = dev.spec
-    get = lambda attr: getattr(spec, attr, "")
-    capacity = {"ram": lambda: spec.unit_capacity_bytes,
-                "disk": lambda: spec.capacity_bytes,
-                "tape_robot": lambda: spec.total_capacity_bytes}[dev.kind]()
-    return [dev.name, dev.kind, spec.price_dollars, get("price_per_mb"), capacity,
+    get = lambda attr: getattr(dev, attr, "")
+    capacity = {"ram": lambda: dev.unit_capacity_bytes,
+                "disk": lambda: dev.capacity_bytes,
+                "tape_robot": lambda: dev.total_capacity_bytes}[dev.kind]()
+    return [dev.name, dev.kind, dev.price_dollars, get("price_per_mb"), capacity,
             get("latency_s"), get("bandwidth_bps"), get("accesses_per_sec"),
             get("tape_count"), get("tape_capacity_bytes"), get("mount_time_s")]
 

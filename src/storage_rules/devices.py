@@ -5,7 +5,9 @@ Conventions: capacities and bandwidths are decimal SI (1 GB = 1e9 bytes,
 5 MB/s = 30 minutes) only come out under decimal units.  Prices fold
 cabinet/controller amortization into a single number.
 
-All spec objects are namedtuples that validate their fields when built:
+A device is one record of its kind (RamSpec, DiskSpec, TapeRobotSpec):
+its first field is the name, its class attribute ``kind`` the device-file
+kind.  Records are namedtuples that validate their fields when built:
 immutable, so safe to share across threads, and preset lookups return
 the shared instances rather than copies.  Being tuples, they unpack and
 index, and they compare equal to any tuple with equal fields, a record
@@ -37,8 +39,10 @@ def _require_positive(obj, *names: str) -> None:
 
 
 # price_per_mb in $/MB; bandwidth_bps in bytes/s
-class RamSpec(namedtuple("RamSpec", "price_per_mb unit_capacity_bytes latency_s bandwidth_bps")):
+class RamSpec(namedtuple("RamSpec", "name price_per_mb unit_capacity_bytes latency_s "
+                                    "bandwidth_bps")):
     __slots__ = ()
+    kind = "ram"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -56,9 +60,10 @@ class RamSpec(namedtuple("RamSpec", "price_per_mb unit_capacity_bytes latency_s 
 # price_dollars: drive + amortized cabinet/controller; latency_s: average
 # seek + rotation; bandwidth_bps: sequential, bytes/s; accesses_per_sec:
 # rated random accesses/s at the rated page size
-class DiskSpec(namedtuple("DiskSpec", "price_dollars capacity_bytes latency_s "
+class DiskSpec(namedtuple("DiskSpec", "name price_dollars capacity_bytes latency_s "
                                       "bandwidth_bps accesses_per_sec")):
     __slots__ = ()
+    kind = "disk"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -72,9 +77,10 @@ class DiskSpec(namedtuple("DiskSpec", "price_dollars capacity_bytes latency_s "
 
 
 # mount_time_s: full rewind/unmount/pick/mount/position cycle
-class TapeRobotSpec(namedtuple("TapeRobotSpec", "price_dollars tape_count tape_capacity_bytes "
-                                                "mount_time_s bandwidth_bps")):
+class TapeRobotSpec(namedtuple("TapeRobotSpec", "name price_dollars tape_count "
+                                                "tape_capacity_bytes mount_time_s bandwidth_bps")):
     __slots__ = ()
+    kind = "tape_robot"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -87,44 +93,12 @@ class TapeRobotSpec(namedtuple("TapeRobotSpec", "price_dollars tape_count tape_c
         return self.tape_count * self.tape_capacity_bytes
 
 
-Payload = RamSpec | DiskSpec | TapeRobotSpec
+DeviceSpec = RamSpec | DiskSpec | TapeRobotSpec
 
-# kind -> payload class: the device-file `kind` key and DeviceSpec.kind
-_FIELDS_BY_KIND: dict[str, type] = {"ram": RamSpec, "disk": DiskSpec,
-                                    "tape_robot": TapeRobotSpec}
-_KIND_FOR_PAYLOAD = {cls: kind for kind, cls in _FIELDS_BY_KIND.items()}
-# payload fields a device file must give as whole numbers
+# kind -> record class: the device-file `kind` key
+_FIELDS_BY_KIND: dict[str, type] = {cls.kind: cls for cls in (RamSpec, DiskSpec, TapeRobotSpec)}
+# record fields a device file must give as whole numbers
 _INTEGER_KEYS = frozenset({"tape_count"})
-
-
-# kind: ram | disk | tape_robot
-class DeviceSpec(namedtuple("DeviceSpec", "name kind spec")):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        expected = _KIND_FOR_PAYLOAD.get(type(self.spec))
-        if expected is None:
-            raise ValueError(f"unsupported payload type {type(self.spec).__name__}")
-        if self.kind != expected:
-            raise ValueError(f"kind {self.kind!r} does not match payload {expected!r}")
-        return self
-
-    @property
-    def price_dollars(self) -> float:
-        return self.spec.price_dollars
-
-
-def _ram(name: str, **kw) -> DeviceSpec:
-    return DeviceSpec(name, "ram", RamSpec(**kw))
-
-
-def _disk(name: str, **kw) -> DeviceSpec:
-    return DeviceSpec(name, "disk", DiskSpec(**kw))
-
-
-def _robot(name: str, **kw) -> DeviceSpec:
-    return DeviceSpec(name, "tape_robot", TapeRobotSpec(**kw))
 
 
 # 1997 benchmark-system presets.  Each system pairs a disk with the RAM
@@ -137,28 +111,26 @@ _DELL_DISK = dict(capacity_bytes=9e9, latency_s=0.01, bandwidth_bps=10e6,
                   accesses_per_sec=64)
 _RAM_MODULE = dict(unit_capacity_bytes=1e9, latency_s=0.1e-6, bandwidth_bps=500e6)
 
-_PRESETS: dict[str, DeviceSpec] = {}
-for _dev in [
-    _disk("dell_tpcc_1997", price_dollars=2000, **_DELL_DISK),
-    _ram("dell_tpcc_1997_ram", price_per_mb=15, **_RAM_MODULE),
-    _disk("sun_oracle_1997", price_dollars=1690, capacity_bytes=4e9,
-          latency_s=0.01, bandwidth_bps=10e6, accesses_per_sec=64),
-    _ram("sun_oracle_1997_ram", price_per_mb=13, **_RAM_MODULE),
-    _disk("mainframe_1997", price_dollars=12000, **_DELL_DISK),
-    _ram("mainframe_1997_ram", price_per_mb=130, **_RAM_MODULE),
-    _disk("compaq_tpcc_1997", price_dollars=3129, **_DELL_DISK),
-    _ram("compaq_tpcc_1997_ram", price_per_mb=47, **_RAM_MODULE),
+_PRESETS: dict[str, DeviceSpec] = {dev.name: dev for dev in [
+    DiskSpec("dell_tpcc_1997", price_dollars=2000, **_DELL_DISK),
+    RamSpec("dell_tpcc_1997_ram", price_per_mb=15, **_RAM_MODULE),
+    DiskSpec("sun_oracle_1997", price_dollars=1690, capacity_bytes=4e9,
+             latency_s=0.01, bandwidth_bps=10e6, accesses_per_sec=64),
+    RamSpec("sun_oracle_1997_ram", price_per_mb=13, **_RAM_MODULE),
+    DiskSpec("mainframe_1997", price_dollars=12000, **_DELL_DISK),
+    RamSpec("mainframe_1997_ram", price_per_mb=130, **_RAM_MODULE),
+    DiskSpec("compaq_tpcc_1997", price_dollars=3129, **_DELL_DISK),
+    RamSpec("compaq_tpcc_1997_ram", price_per_mb=47, **_RAM_MODULE),
     # DLT autoloader, quoted twice at different prices; both are kept.
-    _robot("table4_dlt_robot", price_dollars=9000, tape_count=14,
-           tape_capacity_bytes=35e9, mount_time_s=30, bandwidth_bps=5e6),
+    TapeRobotSpec("table4_dlt_robot", price_dollars=9000, tape_count=14,
+                  tape_capacity_bytes=35e9, mount_time_s=30, bandwidth_bps=5e6),
     # High-performance device trio used by the metrics tabulation.
-    _ram("table8_ram", price_per_mb=15, **_RAM_MODULE),
-    _disk("table8_disk", price_dollars=2000, capacity_bytes=9e9,
-          latency_s=0.01, bandwidth_bps=5e6, accesses_per_sec=64),
-    _robot("table8_tape_robot", price_dollars=10000, tape_count=14,
-           tape_capacity_bytes=35e9, mount_time_s=30, bandwidth_bps=5e6),
-]:
-    _PRESETS[_dev.name] = _dev
+    RamSpec("table8_ram", price_per_mb=15, **_RAM_MODULE),
+    DiskSpec("table8_disk", price_dollars=2000, capacity_bytes=9e9,
+             latency_s=0.01, bandwidth_bps=5e6, accesses_per_sec=64),
+    TapeRobotSpec("table8_tape_robot", price_dollars=10000, tape_count=14,
+                  tape_capacity_bytes=35e9, mount_time_s=30, bandwidth_bps=5e6),
+]}
 
 
 def preset_names() -> list[str]:
@@ -181,8 +153,7 @@ def preset(name: str) -> DeviceSpec:
 
 def ram_companion(name: str) -> RamSpec | None:
     """RAM module priced with the named benchmark system, if there is one."""
-    companion = _PRESETS.get(f"{name}_ram")
-    return companion.spec if companion is not None else None
+    return _PRESETS.get(f"{name}_ram")
 
 
 # --- device file grammar -------------------------------------------------
@@ -196,7 +167,7 @@ def ram_companion(name: str) -> RamSpec | None:
 #   ...
 #
 # Blocks start with `[device]`; keys are the field names of the kind's
-# spec record.  Numbers accept scientific notation.
+# record.  Numbers accept scientific notation.
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
@@ -211,7 +182,7 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
             f"device {name!r} has missing or unknown kind {kind!r} "
             f"(expected one of {', '.join(_FIELDS_BY_KIND)})", start_line)
     spec_cls = _FIELDS_BY_KIND[kind]
-    expected = spec_cls._fields
+    expected = spec_cls._fields[1:]
     values: dict[str, float | int] = {}
     for key, raw in block.items():
         if key not in expected:
@@ -234,7 +205,7 @@ def _build_device(block: dict[str, str], start_line: int) -> DeviceSpec:
         raise DeviceFileError(
             f"device {name!r}: missing keys {', '.join(missing)}", start_line)
     try:
-        return DeviceSpec(name, kind, spec_cls(**values))
+        return spec_cls(name, **values)
     except ValueError as err:
         raise DeviceFileError(f"device {name!r}: {err}", start_line) from None
 
@@ -268,21 +239,7 @@ def parse_device_file(text: str) -> list[DeviceSpec]:
 
 
 def load_device_file(path) -> list[DeviceSpec]:
-    """Parse a device file into validated DeviceSpec values."""
+    """Parse a device file into validated device records."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_device_file(fh.read())
 
-
-def serialize_devices(devices: list[DeviceSpec]) -> str:
-    """Render devices back into the device-file grammar.
-
-    Floats use repr, so parse -> serialize -> parse is an exact round
-    trip.
-    """
-    chunks = []
-    for dev in devices:
-        lines = ["[device]", f"name = {dev.name}", f"kind = {dev.kind}"]
-        for key, value in dev.spec._asdict().items():
-            lines.append(f"{key} = {value!r}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")

@@ -39,9 +39,8 @@ MetricReport = namedtuple("MetricReport", "device kaps maps scan_s dollars_per_k
 
 def access_rate(device: DeviceSpec, nbytes: float) -> float:
     """Random accesses per second of nbytes each: latency (a tape mount) plus transfer."""
-    spec = device.spec
-    latency = spec.mount_time_s if isinstance(spec, TapeRobotSpec) else spec.latency_s
-    return 1.0 / (latency + nbytes / spec.bandwidth_bps)
+    latency = device.mount_time_s if isinstance(device, TapeRobotSpec) else device.latency_s
+    return 1.0 / (latency + nbytes / device.bandwidth_bps)
 
 
 def kaps(device: DeviceSpec) -> float:
@@ -59,13 +58,12 @@ def scan_seconds(device: DeviceSpec) -> float:
 
     A tape robot mounts every tape once and streams each in full.
     """
-    spec = device.spec
-    if isinstance(spec, TapeRobotSpec):
-        return spec.tape_count * (spec.tape_capacity_bytes / spec.bandwidth_bps
-                                  + spec.mount_time_s)
-    if isinstance(spec, RamSpec):
-        return spec.unit_capacity_bytes / spec.bandwidth_bps
-    return spec.capacity_bytes / spec.bandwidth_bps
+    if isinstance(device, TapeRobotSpec):
+        return device.tape_count * (device.tape_capacity_bytes / device.bandwidth_bps
+                                    + device.mount_time_s)
+    if isinstance(device, RamSpec):
+        return device.unit_capacity_bytes / device.bandwidth_bps
+    return device.capacity_bytes / device.bandwidth_bps
 
 
 def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:
@@ -77,11 +75,10 @@ def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:
 
 def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> float:
     """Rent accrued while streaming one terabyte through the device."""
-    spec = device.spec
-    stream_s = TB / spec.bandwidth_bps
-    if isinstance(spec, TapeRobotSpec):
-        mounts = TB / spec.tape_capacity_bytes  # inf for a tape too small to count
-        stream_s += (math.ceil(mounts) if mounts < math.inf else mounts) * spec.mount_time_s
+    stream_s = TB / device.bandwidth_bps
+    if isinstance(device, TapeRobotSpec):
+        mounts = TB / device.tape_capacity_bytes  # inf for a tape too small to count
+        stream_s += (math.ceil(mounts) if mounts < math.inf else mounts) * device.mount_time_s
     return dollar_rate(device.price_dollars, rent) * stream_s
 
 

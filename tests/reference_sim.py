@@ -38,12 +38,23 @@ def _flush_old(frames, cutoff, counters):
 def _run_checkpoints(frames, state, t, interval, counters):
     if interval is None:
         return
-    # a boundary flushes only dirty frames, so while none is dirty those
-    # before the last one or two <= t are skipped; the loop steps the rest
+    # a boundary flushes only frames dirtied before its cutoff, one
+    # interval back, so the loop jumps over those that flush nothing: all
+    # but the last one or two <= t, and while a frame is dirty, all up to
+    # the last whose cutoff is at or below the oldest dirt time
     skip_to = math.floor(t / interval) - 1
-    if skip_to > state["k"] and not any(f.dirty for f in frames):
-        state["k"] = skip_to
-    while state["k"] * interval <= t:
+    while True:
+        if skip_to > state["k"]:
+            k = skip_to
+            dirt = [f.first_dirtied for f in frames if f.dirty]
+            if dirt:
+                oldest = min(dirt)
+                k = min(k, math.floor(oldest / interval) + 1)
+                while k > state["k"] and k * interval - interval > oldest:
+                    k -= 1
+            state["k"] = max(state["k"], k)
+        if state["k"] * interval > t:
+            return
         _flush_old(frames, state["k"] * interval - interval, counters)
         state["k"] += 1
 

@@ -463,6 +463,20 @@ def test_2_pow_53_intervals_is_the_first_time_rejected(cp):
                 simulate(trace, config)
 
 
+# A page stays dirty across the whole gap: the oracle jumps to the
+# boundary that flushes it and then past the rest, however far the next
+# event is.
+@pytest.mark.parametrize("cp", [0.1, 1 / 3, 1.0, 7.0, 1e-300])
+def test_dirt_left_across_a_far_gap_matches_brute_force(cp):
+    for t in (1e7 * cp, math.nextafter(cp * 2**53, 0)):
+        trace = [TraceEvent(cp / 2, "A", "write"), TraceEvent(t, "B", "write")]
+        for policy in ("lru", "clock2"):
+            got = simulate(trace, PoolConfig(1, policy, checkpoint_interval_s=cp))
+            assert got == brute_force_simulate(trace, 1, policy, 0.0, cp), (policy, t)
+            assert got == plain_base_policy(trace, 1, policy, cp), (policy, t)
+            assert (got.contention_flushes, got.checkpoint_flushes) == (0, 2)
+
+
 # N is a tenth or half of the trace's span (some frames protected, some
 # protections lapsing while the LRU scan holds their pages parked) or
 # beyond it (every re-read protected, most evictions fallbacks); with

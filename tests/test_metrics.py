@@ -12,7 +12,7 @@ TAPE = devices.preset("table8_tape_robot")
 def test_kaps():
     assert metrics.kaps(DISK) == pytest.approx(98.04, abs=0.01)
     assert metrics.kaps(TAPE) == pytest.approx(0.03333, abs=0.0001)
-    slow = devices.DeviceSpec("slow", "disk", devices.DiskSpec(1, 1e9, 1.0, 1e12, 1))
+    slow = devices.DiskSpec("slow", 1, 1e9, 1.0, 1e12, 1)
     assert metrics.kaps(slow) == pytest.approx(1.0, rel=1e-6)
 
 
@@ -75,8 +75,8 @@ def test_rent_model_validation():
 
 
 device_specs = st.builds(
-    lambda price, cap, lat, bw: devices.DeviceSpec(
-        "d", "disk", devices.DiskSpec(price, cap, lat, bw, min(1.0 / lat, 100.0))),
+    lambda price, cap, lat, bw: devices.DiskSpec("d", price, cap, lat, bw,
+                                                 min(1.0 / lat, 100.0)),
     st.floats(min_value=1, max_value=1e6),
     st.floats(min_value=1e6, max_value=1e15),
     st.floats(min_value=1e-4, max_value=10),
@@ -92,7 +92,7 @@ def test_kaps_never_below_maps(dev):
 @given(device_specs)
 def test_rate_identities_and_depreciation_halving(dev):
     rep = metrics.metric_report(dev)
-    rate = metrics.dollar_rate(dev.spec.price_dollars)
+    rate = metrics.dollar_rate(dev.price_dollars)
     assert rep.dollars_per_kaps * rep.kaps == pytest.approx(rate, rel=1e-12)
     assert rep.dollars_per_maps * rep.maps == pytest.approx(rate, rel=1e-12)
     doubled = metrics.metric_report(dev, RentModel(2.0 * float(metrics.THREE_YEARS_S)))
@@ -103,6 +103,6 @@ def test_rate_identities_and_depreciation_halving(dev):
 
 @given(st.floats(min_value=1e6, max_value=1e15))
 def test_scan_linear_in_capacity(capacity):
-    small = devices.DeviceSpec("s", "disk", devices.DiskSpec(1, capacity, 0.01, 1e7, 64))
-    big = devices.DeviceSpec("b", "disk", devices.DiskSpec(1, 2 * capacity, 0.01, 1e7, 64))
+    small = devices.DiskSpec("s", 1, capacity, 0.01, 1e7, 64)
+    big = devices.DiskSpec("b", 1, 2 * capacity, 0.01, 1e7, 64)
     assert metrics.scan_seconds(big) == 2 * metrics.scan_seconds(small)
