@@ -45,9 +45,9 @@ checkpoint flush is settled at its next write or eviction, from the time
 d it was first dirtied (an eviction then counts no contention flush, a
 write dirties the frame anew), and the final checkpoint settles the
 rest.  Once t >= C, d <= t - 8C has been flushed and d >= t - C has not;
-only in between is the last boundary's cutoff computed, and only if a
-boundary has passed since it last was (the proof is at _QUICK_ACCEPT).
-So no cost grows with the boundaries crossed or the pool size.
+only in between is the last boundary's cutoff computed (the proof is at
+_QUICK_ACCEPT).  So no cost grows with the boundaries crossed or the
+pool size.
 
 No eviction visits a protected frame, save to park it (LRU, once
 per load or hit) or in a fallback, where every frame is protected;
@@ -217,15 +217,15 @@ class SimReport(namedtuple("SimReport", "logical_accesses physical_reads evictio
 _QUICK_ACCEPT = 8
 
 
-def _boundary(t: float, cp: float) -> tuple[float, float]:
-    """The cutoff at t and the next boundary, for cp <= t < cp * 2**53."""
+def _cutoff(t: float, cp: float) -> float:
+    """The last boundary's cutoff at t, for cp <= t < cp * 2**53."""
     # below 2**53 floor(t/C) is within one of the last k with k*C <= t
     k = math.floor(t / cp)
     if k * cp > t:
         k -= 1
     elif (k + 1) * cp <= t:
         k += 1
-    return k * cp - cp, (k + 1) * cp
+    return k * cp - cp
 
 
 def simulate(trace: Iterable[tuple], config: PoolConfig,
@@ -262,7 +262,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     slot_page = []
     protected = []
     parked_at = []  # park number of a parked page, else 0
-    dirtied = []  # time of the first write since the last flush; clean if -inf or < cutoff(t)
+    dirtied = []  # time of the first write since the last flush; clean if -inf or < _cutoff(t)
     ref = bytearray()  # bit 0: Clock2 reference bit; bit 1: protected
     expiries = deque()  # (protected_until, slot) per protected load, oldest first
     n_protected = 0
@@ -271,12 +271,11 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     hand = 0
     logical = physical = evictions = contention = dirtyings = fallbacks = 0
     inf = math.inf
-    # A frame dirtied at d is flushed by t iff d < cutoff(t), which is settled
-    # at its next write or eviction.  cutoff (-inf until a refresh) never
-    # exceeds cutoff(t), and equals it while t < next_boundary.  Once t >= C,
-    # lag = C and margin = _QUICK_ACCEPT * C; before that, and with
-    # checkpoints off, both are inf, so t - lag and t - margin are -inf.
-    cutoff, next_boundary = -inf, cp
+    # A frame dirtied at d is flushed by t iff d < _cutoff(t), which is
+    # settled at its next write or eviction: d > t - lag is still dirty,
+    # d <= t - margin flushed, and only in between is _cutoff computed.
+    # Once t >= C, lag = C and margin = _QUICK_ACCEPT * C; before that, and
+    # with checkpoints off, both are inf, so t - lag and t - margin are -inf.
     lag = margin = inf
     t_next = cp if cp is not None else inf  # the loop's next rule change
     prev_t = -sys.float_info.max  # below every finite time, above -inf
@@ -376,12 +375,9 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 if was_fallback:
                     fallbacks += 1
                 d = dirtied[i]
-                if d > t - margin:  # dirty, unless a checkpoint flushed it
-                    if d <= t - lag and t >= next_boundary:
-                        cutoff, next_boundary = _boundary(t, cp)
-                    if d >= cutoff:
-                        contention += 1
-                        dirtied[i] = -inf
+                if d > t - margin and (d > t - lag or d >= _cutoff(t, cp)):  # still dirty
+                    contention += 1
+                    dirtied[i] = -inf
                 if event_log is not None:
                     event_log.append(("evict", t, old if label is None else label(old),
                                       protected[i], was_fallback))
@@ -399,16 +395,9 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 ref[i] = 1
         if op == "write":
             d = dirtied[i]
-            if d <= t - lag:  # clean, or dirty since t - C or before
-                if d <= t - margin:  # clean, or surely flushed by a checkpoint
-                    dirtied[i] = t
-                    dirtyings += 1
-                else:
-                    if t >= next_boundary:
-                        cutoff, next_boundary = _boundary(t, cp)
-                    if d < cutoff:
-                        dirtied[i] = t
-                        dirtyings += 1
+            if d <= t - lag and (d <= t - margin or d < _cutoff(t, cp)):  # clean or flushed
+                dirtied[i] = t
+                dirtyings += 1
         history[page] = t
 
     # every dirty spell ends in one flush: an eviction's, or with checkpoints

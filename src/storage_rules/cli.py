@@ -79,15 +79,24 @@ class _CliDataError(Exception):
     """Input-data problem (exit 3)."""
 
 
+def _no_device_name(device_name: str | None) -> None:
+    """Reject --device-name where no device file is read."""
+    if device_name is not None:
+        raise ValueError("--device-name picks a device from a --device file")
+
+
 def _load_device(spec_arg: str, device_name: str | None) -> devices.DeviceSpec:
     """Resolve --device: a preset name, or a device file path."""
     from . import devices
 
     try:
-        return devices.preset(spec_arg)
+        dev = devices.preset(spec_arg)
     except devices.UnknownPresetError:
         if not os.path.exists(spec_arg):
             raise  # a ValueError: exit 2
+    else:
+        _no_device_name(device_name)
+        return dev
     try:
         catalog = devices.load_device_file(spec_arg)
     except ValueError as err:  # DeviceFileError included
@@ -133,9 +142,12 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
         if ram_price is None:
             from . import devices
 
-            companion = devices.ram_companion(dev.name)
+            # only a preset is a benchmark system; a file device's name is a label
+            is_preset = args.device in devices.preset_names()
+            companion = devices.ram_companion(dev.name) if is_preset else None
             ram_price = companion.price_per_mb if companion else DEFAULT_RAM_PRICE
         return tp, rules.EconomicParams(dev.price_dollars, ram_price), dev.kind
+    _no_device_name(args.device_name)
     missing = [flag for flag, val in (("--pages-per-mb", args.pages_per_mb),
                                       ("--accesses-per-sec", args.accesses_per_sec),
                                       ("--device-price", args.device_price))
@@ -309,17 +321,22 @@ _TAPE_TBSCAN_NOTE = ("note: the published tape $/TBscan is 296 $, about 14x the 
 def _cmd_metrics(args):
     from . import metrics
 
-    rent = metrics.RentModel(depreciation_s=args.years * 365 * 86400)
     if args.table8:
-        reports = metrics.table8_reports(rent)
+        _no_device_name(args.device_name)
+    elif args.device is None:
+        raise ValueError("need --device or --table8")
+    else:
+        dev = _load_device(args.device, args.device_name)
+    try:  # a period that is not finite, or so short that a rent overflows
+        rent = metrics.RentModel(depreciation_s=args.years * 365 * 86400)
+        reports = metrics.table8_reports(rent) if args.table8 else [metrics.metric_report(dev, rent)]
+    except ValueError as err:
+        raise ValueError(f"--years {args.years}: {err}") from None
+    if args.table8:
         rows = [[field] + [getattr(r, field) for r in reports] for field in _METRIC_FIELDS]
         return "metric," + ",".join(r.device for r in reports), rows, [_TAPE_TBSCAN_NOTE]
-    if args.device is None:
-        raise ValueError("need --device or --table8")
-    dev = _load_device(args.device, args.device_name)
-    report = metrics.metric_report(dev, rent)
     return ("device," + ",".join(_METRIC_FIELDS),
-            [[report.device] + [getattr(report, f) for f in _METRIC_FIELDS]],
+            [[r.device] + [getattr(r, f) for f in _METRIC_FIELDS] for r in reports],
             [_TAPE_TBSCAN_NOTE] if dev.kind == "tape_robot" else [])
 
 
@@ -424,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accesses-per-sec", type=float)
     p.add_argument("--device-price", type=float)
     p.add_argument("--ram-price", type=float,
-                   help="$/MB of RAM (default: the device's companion pricing, else 15)")
+                   help="$/MB of RAM (default: a preset's benchmark-system RAM "
+                        "price; 15 otherwise, and for any device file)")
     p.add_argument("--raid", choices=("none", "1", "5"), default="none")
     p.add_argument("--write-fraction", type=float, default=0.0)
     p.add_argument("--raid-read-mult", type=float)

@@ -28,8 +28,8 @@ class RentModel(namedtuple("RentModel", "depreciation_s", defaults=(float(THREE_
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.depreciation_s > 0:
-            raise ValueError("depreciation_s must be > 0")
+        if not 0 < self.depreciation_s < math.inf:  # also false for NaN
+            raise ValueError(f"depreciation_s must be finite and > 0, got {self.depreciation_s}")
         return self
 
 
@@ -70,7 +70,10 @@ def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:
     """Device rent in dollars per second of its depreciation life."""
     if not price_dollars > 0:
         raise ValueError("price_dollars must be > 0")
-    return price_dollars / rent.depreciation_s
+    rate = price_dollars / rent.depreciation_s
+    if rate == math.inf:
+        raise ValueError(f"the rent of {price_dollars} $ over {rent.depreciation_s} s overflows")
+    return rate
 
 
 def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> float:

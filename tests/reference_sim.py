@@ -2,12 +2,13 @@
 
 `brute_force_simulate` is a direct transcription of the pool semantics
 with linear scans and per-access recomputation everywhere; it shares no
-code or data structures with the production simulator.  `plain_lru` and
-`plain_clock2` are the bare base policies (dirty tracking and
+code or data structures with the production simulator.
+`plain_base_policy` is the bare LRU or Clock2 policy (dirty tracking and
 checkpoints, but no recency-list protection), for checking that N=0
-degenerates to them.  `line_by_line_read_trace_csv` reads a trace CSV
-one line at a time into a list of events, the way the block reader must
-behave on every input.
+degenerates to it; only its page lookup is indexed, by a dict, so that
+it can replay traces of 1e5 events.  `line_by_line_read_trace_csv`
+reads a trace CSV one line at a time into a list of events, the way the
+block reader must behave on every input.
 """
 from __future__ import annotations
 
@@ -166,17 +167,15 @@ def plain_base_policy(trace, frames_count, base_policy="lru",
     cp_state = {"k": 1}
     clock_state = {"hand": 0}
     seq = 0
+    index_of = {}  # page -> its index in frames
 
     for t, page, op in trace:
         _run_checkpoints(frames, cp_state, t, checkpoint_interval, counters)
         counters["logical"] += 1
         seq += 1
-        frame = None
-        for f in frames:
-            if f.page == page:
-                frame = f
-                break
-        if frame is not None:
+        idx = index_of.get(page)
+        if idx is not None:
+            frame = frames[idx]
             frame.use_seq = seq
             frame.ref = 1
             if op == "write" and not frame.dirty:
@@ -185,6 +184,7 @@ def plain_base_policy(trace, frames_count, base_policy="lru",
         else:
             counters["physical"] += 1
             if len(frames) < frames_count:
+                index_of[page] = len(frames)
                 frames.append(_Frame(page, t, 0.0, op == "write", seq))
             else:
                 candidates = set(range(len(frames)))
@@ -195,6 +195,8 @@ def plain_base_policy(trace, frames_count, base_policy="lru",
                 counters["evictions"] += 1
                 if frames[idx].dirty:
                     counters["contention_flushes"] += 1
+                del index_of[frames[idx].page]
+                index_of[page] = idx
                 frames[idx] = _Frame(page, t, 0.0, op == "write", seq)
 
     if checkpoint_interval is not None:

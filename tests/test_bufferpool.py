@@ -312,6 +312,17 @@ def test_n_zero_equals_plain_base_policy_smoke():
             assert got == want
 
 
+def test_n_zero_equals_plain_base_policy_at_full_length():
+    # 1e5 events over 5000 s; at C = 1 s a 64-frame pool evicts or re-writes
+    # most dirty frames one to eight intervals after their first write
+    trace = generate_trace(1, 100_000, 1024, zipf_s=0.8, write_fraction=0.25,
+                           ops_per_second=20.0)
+    for policy in ("lru", "clock2"):
+        for cp in (None, 300.0, 1.0):
+            got = simulate(trace, PoolConfig(64, policy, 0.0, cp))
+            assert got == plain_base_policy(trace, 64, policy, cp), (policy, cp)
+
+
 def test_matches_brute_force_smoke():
     rng = random.Random(3)
     for policy in ("lru", "clock2"):

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from storage_rules import bufferpool
+from storage_rules import bufferpool, devices
 from storage_rules.cli import main
 
 
@@ -62,6 +62,18 @@ def test_breakeven_explicit_unit_inputs():
     assert code == 0
     _, ((_, _, interval),) = csv_rows(out)
     assert float(interval) == 1.0
+
+
+@pytest.mark.parametrize("price, summary", [
+    ("60", "break-even: 60 s (60.0 seconds)"),
+    ("7199", "break-even: 7199 s (120.0 minutes)"),
+    ("36000", "break-even: 36000 s (10.0 hours)"),
+    ("172800", "break-even: 172800 s (2.0 days)"),
+])
+def test_breakeven_summary_picks_its_unit(price, summary):
+    code, out = run("breakeven", "--pages-per-mb", "1", "--accesses-per-sec", "1",
+                    "--device-price", price, "--ram-price", "1")
+    assert code == 0 and out.splitlines()[-1] == summary
 
 
 def test_breakeven_tape_notes_published_two_months():
@@ -181,6 +193,46 @@ def test_device_file_with_only_a_comment_exits_3(tmp_path, capsys):
     path.write_text("# nothing here\n", encoding="utf-8")
     assert run("metrics", "--device", str(path)) == (3, "")
     assert capsys.readouterr().err == f"error: {path}: device file is empty\n"
+
+
+@pytest.mark.parametrize("kind", sorted(DEVICE_FIELDS))
+def test_renaming_a_file_device_changes_only_its_name(tmp_path, kind):
+    # a preset's name gives a file device none of the preset's pricing
+    path = tmp_path / "one.device"
+    outputs = set()
+    for name in ["plain", *devices.preset_names()]:
+        path.write_text(device_block(name, kind), encoding="utf-8")
+        code, out = run("metrics", "--device", str(path), "--format", "csv")
+        _, ((device, *cells),) = csv_rows(out)
+        assert (code, device) == (0, name)
+        outputs.add((run("breakeven", "--device", str(path), "--format", "csv"), tuple(cells)))
+    assert len(outputs) == 1
+    (((code, out), _),) = outputs
+    assert code == (2 if kind == "ram" else 0)
+    if kind == "disk":  # 2000 $ over 64 accesses/s at 15 $/MB
+        assert csv_rows(out)[1][0][2] == "266.667"
+
+
+@pytest.mark.parametrize("argv", [
+    ["breakeven", "--pages-per-mb", "128", "--accesses-per-sec", "64",
+     "--device-price", "2000"],
+    ["breakeven", "--device", "dell_tpcc_1997"],
+    ["metrics", "--table8"],
+    ["metrics", "--device", "table8_disk"],
+])
+def test_device_name_without_a_device_file_exits_2(capsys, argv):
+    assert run(*argv, "--device-name", "x") == (2, "")
+    assert capsys.readouterr().err == "error: --device-name picks a device from a --device file\n"
+
+
+@pytest.mark.parametrize("years", ["inf", "nan", "1e400", "1e-320", "0", "-1"])
+def test_metrics_years_not_finite_or_overflowing_the_rent_exits_2(capsys, years):
+    for argv in (["--table8"], ["--device", "table8_disk"]):
+        assert run("metrics", *argv, "--years", years) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --years ")
+    # a period short enough for huge rents, but finite ones, is accepted
+    code, out = run("metrics", "--table8", "--years", "1e-305", "--format", "csv")
+    assert code == 0 and "inf" not in out
 
 
 def test_seqrule_point_values():

@@ -110,6 +110,9 @@ def test_parse_invariant_violation_names_field():
     ("price = 1\n", "outside a"),
     ("[device]\nname fast\n", "key = value"),
     ("[device]\nname = d\nkind = floppy\n", "kind"),
+    ("[device]\nkind = disk\nprice_dollars = 1\n", "missing 'name'"),
+    ("[device]\nname = d\nkind = ram\nprice_dollars = 1\n",
+     "unknown key 'price_dollars' for kind 'ram'"),
     ("[device]\nname = d\nkind = disk\nprice_dollars = abc\n", "not a number"),
     ("[device]\nname = d\nkind = disk\nprice_dollars = 1\n", "missing keys"),
     ("[device]\nname = d\nname = e\nkind = disk\n", "duplicate"),

@@ -176,6 +176,8 @@ def test_param_validation():
         IndexParams(16, fill_factor=0.0)
     with pytest.raises(ValueError):
         IndexParams(16, fill_factor=1.2)
+    with pytest.raises(ValueError, match="n_items"):
+        IndexParams(16, n_items=0)
     with pytest.raises(ValueError):
         PageCostModel(0, 1e7)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +39,8 @@ def test_dollar_rate():
         metrics.dollar_rate(0)
     with pytest.raises(ValueError):
         metrics.dollar_rate(-5)
+    with pytest.raises(ValueError, match="overflows"):
+        metrics.dollar_rate(2000, RentModel(1e-306))
 
 
 def test_dollars_per_tbscan():
@@ -70,8 +74,9 @@ def test_table8_reports_cover_the_trio():
 
 
 def test_rent_model_validation():
-    with pytest.raises(ValueError):
-        RentModel(depreciation_s=0)
+    for period in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            RentModel(depreciation_s=period)
 
 
 device_specs = st.builds(

@@ -168,3 +168,13 @@ def test_param_validation():
         SequentialParams(-1, 5)
     with pytest.raises(ValueError):
         rules.reference_interval_vs_page_size(0.01, 1e7, DELL_EP, [])
+    with pytest.raises(ValueError, match="latency_s"):
+        rules.reference_interval_vs_page_size(-0.01, 1e7, DELL_EP, [8192])
+    with pytest.raises(ValueError, match="page size"):
+        rules.reference_interval_vs_page_size(0.01, 1e7, DELL_EP, [8192, 0])
+    # built directly, the record checks what raid_adjustment would
+    with pytest.raises(ValueError, match="level"):
+        rules.RaidAdjustment("raid6", 1.0, 1.0)
+    for mults in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="multipliers"):
+            rules.RaidAdjustment("raid1", *mults)

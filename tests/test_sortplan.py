@@ -109,6 +109,9 @@ def test_run_merge_plan_infeasible_carries_required_memory():
 def test_run_merge_plan_validation():
     with pytest.raises(ValueError, match="memory_bytes"):
         sorting.run_merge_plan(1e9, 50, 100)
+    for buffer in (0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="buffer_bytes"):
+            sorting.run_merge_plan(1e9, 1e6, buffer)
     for args in ((1e9, math.nan, 100), (1e9, math.inf, 100), (math.nan, 1e6, 100)):
         with pytest.raises(ValueError, match="finite"):
             sorting.run_merge_plan(*args)
