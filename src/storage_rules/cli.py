@@ -241,7 +241,9 @@ def _cmd_sortplan(args):
         plan = sorting.run_merge_plan(args.file_bytes, args.memory_bytes, buffer_bytes)
         plan_cells, trailer = (plan.passes, plan.run_count, plan.fan_in, True), []
     except sorting.PlanError as err:
-        plan_cells, trailer = (2, err.run_count, err.fan_in, False), [f"infeasible: {err}"]
+        plan_cells = (2, err.run_count, err.fan_in, False)
+        trailer = [f"infeasible: {err}; a two-pass sort wants about "
+                   f"{memory_needed:.6g} bytes of memory"]
     return ("file_bytes,buffer_bytes,memory_bytes,two_pass_memory_bytes,"
             "passes,run_count,fan_in,feasible",
             [(args.file_bytes, buffer_bytes, args.memory_bytes, memory_needed, *plan_cells)],
@@ -256,31 +258,24 @@ def _cmd_indexsize(args):
     if args.table6:
         params = indexing.IndexParams(entry_bytes=20, fill_factor=0.7)
         model = indexing.PageCostModel(latency_s=0.01, bandwidth_bps=1e7)
-        evals = [indexing.evaluate_page(kb * 1024, params, model) for kb in TABLE6_PAGE_KB]
-        best_kb = max(zip(TABLE6_PAGE_KB, evals), key=lambda p: p[1].benefit_cost)[0]
+        sizes = [kb * 1024 for kb in TABLE6_PAGE_KB]
+        best_size, _ = indexing.optimal_page_size(sizes, params, model)
+        evals = [indexing.evaluate_page(size, params, model) for size in sizes]
         return ("page_kb,entries_per_page,utility,access_cost_ms,benefit_cost",
-                [(kb, ev.entries_per_page, ev.utility, ev.access_cost_s * 1e3,
-                  ev.benefit_cost) for kb, ev in zip(TABLE6_PAGE_KB, evals)],
-                [f"optimal page size: {best_kb} KB",
+                [(ev.page_bytes // 1024, ev.entries_per_page, ev.utility,
+                  ev.access_cost_s * 1e3, ev.benefit_cost) for ev in evals],
+                [f"optimal page size: {best_size // 1024} KB",
                  "note: the published tabulation lists entries/page about 5% "
                  "lower (68, 135, 270, ...); the per-entry overhead it assumes "
                  "is not stated."])
     if args.figure7:
-        model = indexing.PageCostModel(latency_s=0.01, bandwidth_bps=1e7)
-        entry_grid = indexing.evaluate_grid(
-            [kb * 1024 for kb in FIGURE7_PAGE_KB], "entry_bytes",
-            FIGURE7_ENTRY_BYTES, indexing.IndexParams(entry_bytes=16), model)
-        speed_grid = indexing.evaluate_grid(
-            [kb * 1024 for kb in FIGURE7_PAGE_KB], "bandwidth_bps",
-            [mbps * 1e6 for mbps in FIGURE7_SPEEDS_MBPS],
-            indexing.IndexParams(entry_bytes=16), model)
-        rows = []
-        for entry, row in zip(FIGURE7_ENTRY_BYTES, entry_grid):
-            rows += [("entry_size", f"{entry}B", kb, ev.benefit_cost)
-                     for kb, ev in zip(FIGURE7_PAGE_KB, row)]
-        for mbps, row in zip(FIGURE7_SPEEDS_MBPS, speed_grid):
-            rows += [("disk_speed", f"{mbps}MB/s", kb, ev.benefit_cost)
-                     for kb, ev in zip(FIGURE7_PAGE_KB, row)]
+        disk, entry16 = indexing.PageCostModel(0.01, 1e7), indexing.IndexParams(entry_bytes=16)
+        series = ([("entry_size", f"{entry}B", indexing.IndexParams(entry_bytes=entry), disk)
+                   for entry in FIGURE7_ENTRY_BYTES]
+                  + [("disk_speed", f"{mbps}MB/s", entry16, indexing.PageCostModel(0.01, mbps * 1e6))
+                     for mbps in FIGURE7_SPEEDS_MBPS])
+        rows = [(grid, name, kb, indexing.benefit_cost(kb * 1024, params, model))
+                for grid, name, params, model in series for kb in FIGURE7_PAGE_KB]
         return ("grid,series,page_kb,benefit_cost", rows,
                 ["note: the published 3 MB/s and 1 MB/s rows imply 11-12 ms "
                  "latencies and do not match a fixed 10 ms model; rows above "
@@ -322,6 +317,8 @@ def _cmd_metrics(args):
     from . import metrics
 
     if args.table8:
+        if args.device is not None:
+            raise ValueError("--table8 reports its own three devices; --device picks one instead")
         _no_device_name(args.device_name)
     elif args.device is None:
         raise ValueError("need --device or --table8")
@@ -552,7 +549,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # point stdout at devnull so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -107,21 +107,3 @@ def optimal_page_size(candidates: list[float], params: IndexParams,
             best = ev
     return best.page_bytes, best
 
-
-def evaluate_grid(page_sizes: list[float], axis: str, values: list[float],
-                  params: IndexParams, model: PageCostModel) -> list[list[PageEvaluation]]:
-    """Row-major grid of evaluations, one row per axis value.
-
-    axis="entry_bytes" varies the entry size at a fixed cost model;
-    axis="bandwidth_bps" varies disk bandwidth at a fixed entry size.
-    """
-    rows = []
-    for v in values:  # built through the classes: _replace would skip their checks
-        if axis == "entry_bytes":
-            p, m = IndexParams(v, params.fill_factor, params.n_items), model
-        elif axis == "bandwidth_bps":
-            p, m = params, PageCostModel(model.latency_s, v)
-        else:
-            raise ValueError(f"axis must be entry_bytes or bandwidth_bps, got {axis!r}")
-        rows.append([evaluate_page(s, p, m) for s in page_sizes])
-    return rows

@@ -76,25 +76,34 @@ def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:
     return rate
 
 
+def _rent_cell(cost: float, dollar_seconds: float, field: str, device: DeviceSpec) -> float:
+    """A rent-based cell: inf only where the price times the time already is."""
+    if cost == math.inf > dollar_seconds:  # a period so short that a finite rent overflows
+        raise ValueError(f"{field} of {device.name} overflows")
+    return cost
+
+
 def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> float:
     """Rent accrued while streaming one terabyte through the device."""
     stream_s = TB / device.bandwidth_bps
     if isinstance(device, TapeRobotSpec):
         mounts = TB / device.tape_capacity_bytes  # inf for a tape too small to count
         stream_s += (math.ceil(mounts) if mounts < math.inf else mounts) * device.mount_time_s
-    return dollar_rate(device.price_dollars, rent) * stream_s
+    return _rent_cell(dollar_rate(device.price_dollars, rent) * stream_s,
+                      device.price_dollars * stream_s, "dollars_per_tbscan", device)
 
 
 def metric_report(device: DeviceSpec, rent: RentModel = RentModel()) -> MetricReport:
     rate = dollar_rate(device.price_dollars, rent)
     k, m = kaps(device), maps(device)
+    price = device.price_dollars
     return MetricReport(
         device=device.name,
         kaps=k,
         maps=m,
         scan_s=scan_seconds(device),
-        dollars_per_kaps=rate / k,
-        dollars_per_maps=rate / m,
+        dollars_per_kaps=_rent_cell(rate / k, price / k, "dollars_per_kaps", device),
+        dollars_per_maps=_rent_cell(rate / m, price / m, "dollars_per_maps", device),
         dollars_per_tbscan=dollars_per_tbscan(device, rent),
     )
 

@@ -23,21 +23,16 @@ DEFAULT_ONE_PASS_THRESHOLD = 5e9  # bytes of file below which one pass wins
 class PlanError(ValueError):
     """A sort plan that cannot be met in two passes.
 
-    Carries the rule-of-thumb memory that would make two passes work, and
-    the run count and merge fan-in that made this budget fall short.
+    Carries the run count and merge fan-in that made this budget fall short.
     """
 
-    def __init__(self, message: str, required_memory_bytes: float,
-                 run_count: int, fan_in: int):
-        self.required_memory_bytes = required_memory_bytes
+    def __init__(self, message: str, run_count: int, fan_in: int):
         self.run_count = run_count
         self.fan_in = fan_in
         super().__init__(message)
 
 
-# passes is 1 or 2; memory_required_bytes is the rule-of-thumb memory,
-# not the bare minimum
-SortPlan = namedtuple("SortPlan", "passes memory_required_bytes run_count fan_in")
+SortPlan = namedtuple("SortPlan", "passes run_count fan_in")  # passes is 1 or 2
 
 
 def two_pass_memory(file_bytes: float, buffer_bytes: float,
@@ -93,18 +88,12 @@ def run_merge_plan(file_bytes, memory_bytes, buffer_bytes) -> SortPlan:
         raise ValueError("file_bytes must be finite and >= 0")
     fan_in = int(memory_bytes // buffer_bytes)
     if file_bytes <= memory_bytes:
-        return SortPlan(passes=1,
-                        memory_required_bytes=max(file_bytes, buffer_bytes),
-                        run_count=1, fan_in=fan_in)
+        return SortPlan(passes=1, run_count=1, fan_in=fan_in)
     run_count = _ceil_div(file_bytes, memory_bytes)
-    required = two_pass_memory(file_bytes, buffer_bytes)
     if run_count > fan_in:
-        raise PlanError(
-            f"needs more than two passes: {run_count} runs exceed fan-in "
-            f"{fan_in}; a two-pass sort wants about {required:.6g} bytes of memory",
-            required_memory_bytes=required, run_count=run_count, fan_in=fan_in)
-    return SortPlan(passes=2, memory_required_bytes=required,
-                    run_count=run_count, fan_in=fan_in)
+        raise PlanError(f"needs more than two passes: {run_count} runs exceed fan-in {fan_in}",
+                        run_count=run_count, fan_in=fan_in)
+    return SortPlan(passes=2, run_count=run_count, fan_in=fan_in)
 
 
 def choose_pass_count(file_bytes: float,

@@ -6,7 +6,10 @@ code or data structures with the production simulator.
 `plain_base_policy` is the bare LRU or Clock2 policy (dirty tracking and
 checkpoints, but no recency-list protection), for checking that N=0
 degenerates to it; only its page lookup is indexed, by a dict, so that
-it can replay traces of 1e5 events.  `line_by_line_read_trace_csv`
+it can replay traces of 1e5 events.  `lru_stack_distances` gives the
+LRU read counts of every pool size at N=0 from one pass over the pages
+alone, by a method that shares nothing with either simulator.
+`line_by_line_read_trace_csv`
 reads a trace CSV one line at a time into a list of events, the way the
 block reader must behave on every input.
 """
@@ -216,6 +219,60 @@ def plain_base_policy(trace, frames_count, base_policy="lru",
         protected_eviction_fallbacks=counters["fallbacks"],
         hit_ratio=1.0 - physical / logical if logical else 0.0,
     )
+
+
+def lru_stack_distances(trace) -> tuple[list[int], int]:
+    """LRU stack distances of a trace (Mattson, Gecsei, Slutz & Traiger 1970).
+
+    An access's stack distance is the number of distinct pages touched
+    since the same page's previous access, itself included: 1 is a
+    re-access of the most recent page.  A Fenwick tree over positions
+    marks each page's last access, so a distance is a count of marks.
+    Returns (counts, cold): counts[d] accesses at distance d, and the
+    cold first accesses, one per distinct page.
+    """
+    pages = [page for _, page, _ in trace]
+    n = len(pages)
+    tree = [0] * (n + 1)  # Fenwick tree over positions 1..n
+
+    def add(i, delta):
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    def marks_up_to(i):
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i -= i & -i
+        return total
+
+    last: dict = {}  # page -> position of its last access
+    counts = [0] * (n + 1)
+    cold = 0
+    for i, page in enumerate(pages, start=1):
+        j = last.get(page)
+        if j is None:
+            cold += 1
+        else:
+            # one mark per distinct page, all below i: len(last) of them
+            counts[len(last) - marks_up_to(j - 1)] += 1
+            add(j, -1)
+        add(i, 1)
+        last[page] = i
+    return counts, cold
+
+
+def lru_reads(counts, cold, frames) -> tuple[int, int, float]:
+    """(physical reads, evictions, hit ratio) of an N=0 LRU pool of `frames`.
+
+    An access misses when it is cold or its stack distance exceeds the
+    pool; every miss after the pool first fills evicts one page.
+    """
+    logical = cold + sum(counts)
+    physical = cold + sum(counts[frames + 1:])
+    evictions = physical - min(frames, cold)
+    return physical, evictions, 1.0 - physical / logical if logical else 0.0
 
 
 def random_trace(rng: random.Random, max_events=200, max_pages=12,

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from reference_sim import (
     brute_force_simulate,
     line_by_line_read_trace_csv,
+    lru_reads,
+    lru_stack_distances,
     plain_base_policy,
     random_trace,
 )
@@ -321,6 +323,18 @@ def test_n_zero_equals_plain_base_policy_at_full_length():
         for cp in (None, 300.0, 1.0):
             got = simulate(trace, PoolConfig(64, policy, 0.0, cp))
             assert got == plain_base_policy(trace, 64, policy, cp), (policy, cp)
+
+
+def test_n_zero_lru_equals_stack_distances_at_full_length():
+    # 1e5 Zipf events over 4096 pages: pools from one frame to more than
+    # the pages ever touched
+    trace = generate_trace(3, 100_000, 4096, zipf_s=0.8, write_fraction=0.25,
+                           ops_per_second=20.0)
+    counts, cold = lru_stack_distances(trace)
+    for frames in (1, 7, 64, 512, 1024, 5000):
+        got = simulate(trace, PoolConfig(frames, "lru", 0.0, None))
+        want = lru_reads(counts, cold, frames)
+        assert (got.physical_reads, got.evictions, got.hit_ratio) == want, frames
 
 
 def test_matches_brute_force_smoke():

@@ -24,20 +24,24 @@ def csv_rows(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(bufferpool.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cold(*argv, address_space=None):
     """Run ``python <argv>`` in a fresh interpreter that imports this source tree.
 
     address_space caps the child's virtual memory in bytes, so that a
     huge allocation fails at once even where the host overcommits.
     """
-    src = os.path.dirname(os.path.dirname(bufferpool.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     limit = None
     if address_space is not None:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=source_env(), capture_output=True,
                           text=True, timeout=30, preexec_fn=limit)
 
 
@@ -225,7 +229,16 @@ def test_device_name_without_a_device_file_exits_2(capsys, argv):
     assert capsys.readouterr().err == "error: --device-name picks a device from a --device file\n"
 
 
-@pytest.mark.parametrize("years", ["inf", "nan", "1e400", "1e-320", "0", "-1"])
+def test_metrics_table8_with_a_device_exits_2(capsys):
+    for device in ("table8_disk", "no_such_thing"):
+        assert run("metrics", "--table8", "--device", device) == (2, "")
+        assert capsys.readouterr().err == ("error: --table8 reports its own three devices; "
+                                           "--device picks one instead\n")
+
+
+# 1e-310 and 3e-311 leave each rent per second finite but overflow the cells built on it
+@pytest.mark.parametrize("years", ["inf", "nan", "1e400", "1e-320", "1e-310", "3e-311",
+                                   "0", "-1"])
 def test_metrics_years_not_finite_or_overflowing_the_rent_exits_2(capsys, years):
     for argv in (["--table8"], ["--device", "table8_disk"]):
         assert run("metrics", *argv, "--years", years) == (2, "")
@@ -284,6 +297,17 @@ def test_sortplan_plan_and_inverse():
                "--buffer-bytes", "1e-300") == (2, "")
 
 
+def test_sortplan_infeasible_line_uses_the_given_constants():
+    argv = ["sortplan", "--file-bytes", "1e12", "--memory-bytes", "1e6",
+            "--c-buf", "100", "--c-sqrt", "100"]
+    code, out = run(*argv, "--format", "csv")
+    header, (row,) = csv_rows(out)
+    memory = dict(zip(header, row))["two_pass_memory_bytes"]
+    assert (code, memory) == (0, "9.05179e+09")
+    code, out = run(*argv)
+    assert out.splitlines()[-1].endswith(f"; a two-pass sort wants about {memory} bytes of memory")
+
+
 def test_indexsize_table6_csv():
     code, out = run("indexsize", "--table6", "--format", "csv")
     assert code == 0
@@ -302,8 +326,13 @@ def test_indexsize_figure7_csv():
     assert header == ["grid", "series", "page_kb", "benefit_cost"]
     cells = {(r[0], r[1], r[2]): float(r[3]) for r in rows}
     assert len(rows) == (4 + 5) * 6
-    assert cells[("entry_size", "16B", "2")] == pytest.approx(0.6355, abs=0.0002)
-    assert cells[("disk_speed", "40MB/s", "64")] == pytest.approx(0.987, abs=0.001)
+    kbs = ["2", "4", "8", "32", "64", "128"]
+    entry16 = [cells[("entry_size", "16B", kb)] for kb in kbs]
+    assert entry16 == pytest.approx([0.6355, 0.7191, 0.7843, 0.7898, 0.6938, 0.5403],
+                                    abs=0.0002)
+    fast = [cells[("disk_speed", "40MB/s", kb)] for kb in kbs]
+    assert fast == pytest.approx([0.645, 0.741, 0.832, 0.969, 0.987, 0.94], abs=0.001)
+    assert cells[("disk_speed", "5MB/s", "64")] == pytest.approx(0.497, abs=0.001)
     assert cells[("disk_speed", "5MB/s", "128")] == pytest.approx(0.345, abs=0.001)
 
 
@@ -392,6 +421,20 @@ def test_gen_trace_and_simulate_round_trip(tmp_path):
 def test_gen_trace_stdout_is_byte_stable():
     argv = ["gen-trace", "--seed", "5", "--ops", "50", "--pages", "6"]
     assert run(*argv) == run(*argv)
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["metrics", "--table8"], 0),
+    # about 3 MB, far more than a pipe holds, so the writer meets the closed end
+    (["gen-trace", "--seed", "1", "--ops", "200000", "--pages", "64"], 1),
+])
+def test_a_reader_closing_the_pipe_early_ends_the_command_quietly(argv, lines_read):
+    with subprocess.Popen([sys.executable, "-m", "storage_rules.cli", *argv], env=source_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.wait(timeout=30), proc.stderr.read()) == (1, b"")
 
 
 def test_gen_trace_rejects_nan_zipf_exit_2():

@@ -76,40 +76,6 @@ def test_optimal_page_size_tie_prefers_smaller():
         indexing.optimal_page_size([], ENTRY20, REFERENCE_MODEL)
 
 
-def test_evaluate_grid_entry_row():
-    sizes = [k * KB for k in (2, 4, 8, 32, 64, 128)]
-    (row,) = indexing.evaluate_grid(sizes, "entry_bytes", [16], ENTRY16, REFERENCE_MODEL)
-    got = [ev.benefit_cost for ev in row]
-    expected = [0.6355, 0.7191, 0.7843, 0.7898, 0.6938, 0.5403]
-    assert got == pytest.approx(expected, abs=0.0002)
-
-
-def test_evaluate_grid_bandwidth_rows():
-    sizes = [k * KB for k in (2, 4, 8, 32, 64, 128)]
-    rows = indexing.evaluate_grid(sizes, "bandwidth_bps", [40e6, 5e6],
-                                  ENTRY16, REFERENCE_MODEL)
-    fast = [ev.benefit_cost for ev in rows[0]]
-    assert fast == pytest.approx([0.645, 0.741, 0.832, 0.969, 0.987, 0.94], abs=0.001)
-    slow = [ev.benefit_cost for ev in rows[1]]
-    assert slow[4] == pytest.approx(0.497, abs=0.001)
-    assert slow[5] == pytest.approx(0.345, abs=0.001)
-
-
-def test_evaluate_grid_single_cell_and_bad_axis():
-    ((ev,),) = indexing.evaluate_grid([2048], "entry_bytes", [16], ENTRY16,
-                                      REFERENCE_MODEL)
-    assert ev.benefit_cost == pytest.approx(0.6355, abs=0.0002)
-    with pytest.raises(ValueError, match="axis"):
-        indexing.evaluate_grid([2048], "fill", [0.5], ENTRY16, REFERENCE_MODEL)
-
-
-@pytest.mark.parametrize("axis, message", [("entry_bytes", "entry_bytes must be > 0"),
-                                           ("bandwidth_bps", "PageCostModel fields")])
-def test_evaluate_grid_validates_each_axis_value(axis, message):
-    with pytest.raises(ValueError, match=message):
-        indexing.evaluate_grid([2048], axis, [0], ENTRY16, REFERENCE_MODEL)
-
-
 ladder = [2.0**k for k in range(10, 21)]  # 1 KB .. 1 MB
 
 
@@ -180,6 +146,8 @@ def test_param_validation():
         IndexParams(16, n_items=0)
     with pytest.raises(ValueError):
         PageCostModel(0, 1e7)
+    with pytest.raises(ValueError, match="PageCostModel fields"):
+        PageCostModel(0.01, 0)
     with pytest.raises(ValueError):
         indexing.entries_per_page(0, ENTRY20)
     for page in (math.nan, math.inf):

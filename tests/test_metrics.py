@@ -43,6 +43,16 @@ def test_dollar_rate():
         metrics.dollar_rate(2000, RentModel(1e-306))
 
 
+def test_a_finite_rent_cell_that_overflows_raises():
+    # the tape's rent per second is finite here; per Kaps access it is not
+    short = RentModel(3e-311 * 365 * 86400)
+    assert metrics.dollar_rate(TAPE.price_dollars, short) < math.inf
+    with pytest.raises(ValueError, match="dollars_per_kaps of table8_tape_robot overflows"):
+        metrics.metric_report(TAPE, short)
+    with pytest.raises(ValueError, match="dollars_per_tbscan of table8_ram overflows"):
+        metrics.metric_report(RAM, RentModel(1e-310 * 365 * 86400))
+
+
 def test_dollars_per_tbscan():
     assert metrics.dollars_per_tbscan(DISK) == pytest.approx(4.23, abs=0.01)
     assert metrics.dollars_per_tbscan(RAM) == pytest.approx(0.317, abs=0.001)

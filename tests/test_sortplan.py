@@ -87,7 +87,6 @@ def test_run_merge_plan_thousand_runs():
     assert plan.passes == 2
     assert plan.run_count == 1000
     assert plan.fan_in == 1000
-    assert plan.memory_required_bytes == pytest.approx(3.006e8)
 
 
 def test_run_merge_plan_one_pass():
@@ -100,8 +99,6 @@ def test_run_merge_plan_one_pass():
 def test_run_merge_plan_infeasible_carries_required_memory():
     with pytest.raises(sorting.PlanError, match="more than two passes") as err:
         sorting.run_merge_plan(1e12, 1e6, 1e5)
-    required = err.value.required_memory_bytes
-    assert required == pytest.approx(sorting.two_pass_memory(1e12, 1e5))
     assert err.value.run_count == 1_000_000
     assert err.value.fan_in == 10
 
