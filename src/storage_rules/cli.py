@@ -163,11 +163,14 @@ def _breakeven_params(args) -> tuple[rules.TechnologyParams, rules.EconomicParam
 def _cmd_breakeven(args):
     from . import rules
 
+    raid_flags = (args.write_fraction, args.raid_read_mult, args.raid_write_mult)
+    if args.raid == "none" and raid_flags != (None, None, None):
+        raise ValueError("--write-fraction, --raid-read-mult and --raid-write-mult "
+                         "apply to --raid 1 or 5")
     tp, ep, kind = _breakeven_params(args)
     if args.raid != "none":
-        adj = rules.raid_adjustment(f"raid{args.raid}", args.raid_read_mult,
-                                    args.raid_write_mult)
-        tp = rules.apply_raid(tp, adj, args.write_fraction)
+        tp = rules.apply_raid(tp, f"raid{args.raid}", args.write_fraction or 0.0,
+                              args.raid_read_mult, args.raid_write_mult)
     result = rules.break_even_interval(tp, ep)
     trailer = [_break_even_line(result.interval_s)]
     if kind == "tape_robot":
@@ -196,19 +199,20 @@ def _cmd_seqrule(args):
                 size *= 2
         series = rules.reference_interval_vs_page_size(
             args.latency_s, args.bandwidth_bps, ep, sizes)
-        limit = rules.asymptotic_sequential_interval(args.bandwidth_bps, ep)
+        limit = rules.sequential_break_even(args.bandwidth_bps, ep)
         return ("page_bytes,interval_s", series,
                 [f"asymptote: {sig6(limit)} s",
                  "note: the published curve labels the 1997 disk asymptote "
                  "about 40 s; the formula gives the value above for these "
                  "parameters."])
     if args.asymptote:
-        interval = rules.asymptotic_sequential_interval(args.bandwidth_bps, ep)
+        interval = rules.sequential_break_even(args.bandwidth_bps, ep)
         return "bandwidth_bps,interval_s", [(args.bandwidth_bps, interval)], []
     if args.transfer_bytes is None:
         raise ValueError("need --transfer-bytes (or --curve / --asymptote)")
-    sp = rules.SequentialParams(args.transfer_bytes, args.bandwidth_bps)
-    interval = rules.sequential_break_even(sp, ep, args.passes)
+    if not 0 < args.transfer_bytes < math.inf:  # it cancels, but the row prints it
+        raise ValueError("--transfer-bytes must be finite and > 0")
+    interval = rules.sequential_break_even(args.bandwidth_bps, ep, args.passes)
     return ("transfer_bytes,bandwidth_bps,passes,interval_s",
             [(args.transfer_bytes, args.bandwidth_bps, args.passes, interval)],
             [_break_even_line(interval)])
@@ -441,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="$/MB of RAM (default: a preset's benchmark-system RAM "
                         "price; 15 otherwise, and for any device file)")
     p.add_argument("--raid", choices=("none", "1", "5"), default="none")
-    p.add_argument("--write-fraction", type=float, default=0.0)
+    p.add_argument("--write-fraction", type=float, help="needs --raid 1 or 5; default 0")
     p.add_argument("--raid-read-mult", type=float)
     p.add_argument("--raid-write-mult", type=float)
     _add_format(p)

@@ -31,11 +31,15 @@ class DeviceFileError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _require_positive(obj, *names: str) -> None:
+def _check_fields(obj, *names: str) -> None:
+    """Require each named field finite and > 0, and a bandwidth that moves 1 MB in finite time."""
     for name in names:
         value = getattr(obj, name)
         if not 0 < value < math.inf:  # also false for NaN
             raise ValueError(f"{type(obj).__name__}.{name} must be finite and > 0, got {value!r}")
+    if 1e6 / obj.bandwidth_bps == math.inf:
+        raise ValueError(f"{type(obj).__name__}.bandwidth_bps {obj.bandwidth_bps!r} is too "
+                         f"small to transfer 1 MB in finite time")
 
 
 # price_per_mb in $/MB; bandwidth_bps in bytes/s
@@ -47,8 +51,8 @@ class RamSpec(namedtuple("RamSpec", "name price_per_mb unit_capacity_bytes laten
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         # price_dollars last: it underflows to 0 when both factors are tiny
-        _require_positive(self, "price_per_mb", "unit_capacity_bytes",
-                          "latency_s", "bandwidth_bps", "price_dollars")
+        _check_fields(self, "price_per_mb", "unit_capacity_bytes",
+                      "latency_s", "bandwidth_bps", "price_dollars")
         return self
 
     @property
@@ -67,8 +71,8 @@ class DiskSpec(namedtuple("DiskSpec", "name price_dollars capacity_bytes latency
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _require_positive(self, "price_dollars", "capacity_bytes",
-                          "latency_s", "bandwidth_bps", "accesses_per_sec")
+        _check_fields(self, "price_dollars", "capacity_bytes",
+                      "latency_s", "bandwidth_bps", "accesses_per_sec")
         if self.accesses_per_sec > 1.0 / self.latency_s:
             raise ValueError(
                 f"DiskSpec.accesses_per_sec ({self.accesses_per_sec}) exceeds "
@@ -84,8 +88,8 @@ class TapeRobotSpec(namedtuple("TapeRobotSpec", "name price_dollars tape_count "
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _require_positive(self, "price_dollars", "tape_count",
-                          "tape_capacity_bytes", "mount_time_s", "bandwidth_bps")
+        _check_fields(self, "price_dollars", "tape_count",
+                      "tape_capacity_bytes", "mount_time_s", "bandwidth_bps")
         return self
 
     @property

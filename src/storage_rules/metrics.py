@@ -77,10 +77,10 @@ def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:
 
 
 def _rent_cell(cost: float, dollar_seconds: float, field: str, device: DeviceSpec) -> float:
-    """A rent-based cell: inf only where the price times the time already is."""
+    """A rent-based cell: inf exactly where the price times the time is, never NaN."""
     if cost == math.inf > dollar_seconds:  # a period so short that a finite rent overflows
         raise ValueError(f"{field} of {device.name} overflows")
-    return cost
+    return math.inf if dollar_seconds == math.inf else cost
 
 
 def dollars_per_tbscan(device: DeviceSpec, rent: RentModel = RentModel()) -> float:

@@ -190,7 +190,7 @@ def plain_base_policy(trace, frames_count, base_policy="lru",
                 index_of[page] = len(frames)
                 frames.append(_Frame(page, t, 0.0, op == "write", seq))
             else:
-                candidates = set(range(len(frames)))
+                candidates = range(len(frames))
                 if base_policy == "lru":
                     idx = _lru_victim_index(frames, candidates)
                 else:

@@ -15,7 +15,7 @@ from reference_sim import brute_force_simulate, plain_base_policy, random_trace
 from storage_rules import bufferpool, indexing, rules, sorting
 from storage_rules.bufferpool import PoolConfig, generate_trace, simulate
 from storage_rules.indexing import IndexParams, PageCostModel
-from storage_rules.rules import EconomicParams, SequentialParams, TechnologyParams
+from storage_rules.rules import EconomicParams, TechnologyParams
 
 KB = 1024
 
@@ -46,10 +46,10 @@ def test_criterion_02_break_even_1986():
 
 def test_criterion_03_sequential_rule():
     with criterion(3, "64 KB sequential rule: 26.7 s read-once, 53.3 s write+read"):
-        sp = SequentialParams(65536, 5 * 2**20)
         ep = EconomicParams(2000, 15)
-        assert abs(rules.sequential_break_even(sp, ep, "read_once") - 26.7) <= 2.0
-        assert abs(rules.sequential_break_even(sp, ep, "write_then_read") - 53.3) <= 2.0
+        # 64 KB transfers at 5 MB/s; the transfer size cancels
+        assert abs(rules.sequential_break_even(5 * 2**20, ep, "read_once") - 26.7) <= 2.0
+        assert abs(rules.sequential_break_even(5 * 2**20, ep, "write_then_read") - 53.3) <= 2.0
 
 
 def test_criterion_04_table6_reproduction():
@@ -224,7 +224,7 @@ def test_criterion_10_page_size_series_limit():
         bandwidth = 10 * 2**20
         sizes = [2.0**k for k in range(9, 27)]  # 512 B .. 64 MB
         series = rules.reference_interval_vs_page_size(0.01, bandwidth, ep, sizes)
-        limit = rules.asymptotic_sequential_interval(bandwidth, ep)
+        limit = rules.sequential_break_even(bandwidth, ep)
         previous = math.inf
         for _, interval in series:
             assert interval < previous

@@ -323,6 +323,14 @@ def test_n_zero_equals_plain_base_policy_at_full_length():
         for cp in (None, 300.0, 1.0):
             got = simulate(trace, PoolConfig(64, policy, 0.0, cp))
             assert got == plain_base_policy(trace, 64, policy, cp), (policy, cp)
+    # Clock2 from a few frames to a quarter of 4096 Zipf pages; stack
+    # distances cover LRU at these sizes
+    trace = generate_trace(3, 100_000, 4096, zipf_s=0.8, write_fraction=0.25,
+                           ops_per_second=20.0)
+    for frames in (7, 512, 1024):
+        for cp in (None, 300.0):
+            got = simulate(trace, PoolConfig(frames, "clock2", 0.0, cp))
+            assert got == plain_base_policy(trace, frames, "clock2", cp), (frames, cp)
 
 
 def test_n_zero_lru_equals_stack_distances_at_full_length():
@@ -787,7 +795,6 @@ def test_recommended_n():
     assert dell == pytest.approx(266.67, abs=0.01)
     assert bufferpool.recommended_n(rules.TechnologyParams(1, 1),
                                     rules.EconomicParams(1, 1)) == 1.0
-    seq = bufferpool.recommended_n(
-        rules.derive_sequential_params(rules.SequentialParams(65536, 5 * 2**20)),
-        rules.EconomicParams(2000, 15))
+    seq = bufferpool.recommended_n(rules.TechnologyParams(rules.BINARY_MB, 5 * 2**20),
+                                   rules.EconomicParams(2000, 15))
     assert seq == pytest.approx(26.67, abs=0.01)

@@ -105,6 +105,19 @@ def test_breakeven_raid5_quadruples_write_interval():
     assert raided == pytest.approx(4 * base, rel=1e-5)  # both sides 6-sig-digit CSV
 
 
+@pytest.mark.parametrize("flag", ["--write-fraction=0.5", "--write-fraction=7",
+                                  "--raid-read-mult=-1", "--raid-write-mult=2"])
+@pytest.mark.parametrize("raid", [[], ["--raid", "none"]], ids=["default", "stated"])
+def test_raid_flags_without_a_raid_level_exit_2(capsys, raid, flag):
+    assert run("breakeven", "--device", "dell_tpcc_1997", *raid, flag) == (2, "")
+    assert capsys.readouterr().err == ("error: --write-fraction, --raid-read-mult and "
+                                       "--raid-write-mult apply to --raid 1 or 5\n")
+    # with a level, an unstated --write-fraction still means all reads
+    assert (run("breakeven", "--device", "dell_tpcc_1997", "--raid", "5")
+            == run("breakeven", "--device", "dell_tpcc_1997", "--raid", "5",
+                   "--write-fraction", "0"))
+
+
 def test_breakeven_flag_errors_exit_2():
     assert run("breakeven")[0] == 2  # neither device nor explicit params
     assert run("breakeven", "--device", "no_such_device")[0] == 2
@@ -158,6 +171,7 @@ def device_block(name, kind, **changes):
     ("tape_robot", {"tape_count": "2.5"}),
     ("tape_robot", {"tape_count": "nan"}),
     ("disk", {"price_dollars": "inf"}),
+    ("disk", {"bandwidth_bps": "1e-310"}),  # 1 MB would take an infinite time
 ])
 def test_bad_device_values_exit_3_at_the_block_line(tmp_path, capsys, kind, changes):
     path = tmp_path / "bad.device"
@@ -272,11 +286,36 @@ def test_seqrule_curve_and_asymptote():
     code, out = run("seqrule", "--asymptote", "--bandwidth-bps", str(10 * 2**20),
                     "--format", "csv")
     assert float(csv_rows(out)[1][0][1]) == pytest.approx(13.333, abs=0.001)
+    # the transfer size cancels: a point prints the asymptote's interval
+    for bandwidth in (str(10 * 2**20), "1e7"):
+        point, asymptote = (run("seqrule", *mode, "--bandwidth-bps", bandwidth, "--format", "csv")
+                            for mode in (["--transfer-bytes", "100000"], ["--asymptote"]))
+        assert point[0] == asymptote[0] == 0
+        assert csv_rows(point[1])[1][0][-1] == csv_rows(asymptote[1])[1][0][-1]
     code, out = run("seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20))
     assert "note:" in out and "asymptote" in out
     # each would keep the size-doubling loop from ever passing --page-max
     for bad in ("--page-min=0", "--page-min=-1", "--page-min=nan", "--page-max=inf"):
         assert run("seqrule", "--curve", "--bandwidth-bps", "1e7", bad) == (2, "")
+
+
+# Each interval here overflows or underflows, or rests on an input that is not finite.
+@pytest.mark.parametrize("argv", [
+    ["seqrule", "--asymptote", "--bandwidth-bps", "inf"],
+    ["seqrule", "--asymptote", "--bandwidth-bps", "1e-320"],
+    ["seqrule", "--curve", "--bandwidth-bps", "inf", "--page-sizes", "8192"],
+    ["seqrule", "--curve", "--bandwidth-bps", "1e7", "--latency-s", "inf"],
+    ["seqrule", "--curve", "--bandwidth-bps", "1e7", "--page-sizes", "1e-320"],
+    ["seqrule", "--transfer-bytes", "65536", "--bandwidth-bps", "1e-302", "--device-price", "1",
+     "--ram-price", "1", "--passes", "write_then_read"],
+    ["breakeven", "--pages-per-mb", "1e300", "--accesses-per-sec", "1e-10",
+     "--device-price", "1e10", "--ram-price", "1"],
+    ["breakeven", "--device", "table8_tape_robot", "--page-bytes", "1e-300"],
+])
+def test_intervals_that_are_not_finite_and_positive_exit_2(capsys, argv):
+    assert run(*argv) == (2, "")
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ")
 
 
 def test_sortplan_plan_and_inverse():
@@ -701,7 +740,8 @@ ANALYTIC_FLAGS = [
                      "--bandwidth-bps"]),
     (["metrics", "--device", "table8_disk"], ["--years"]),
 ]
-NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e-300", "0.5", "2", "8192", "1e7", "1e12"]
+NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e-300", "1e-310", "0.5", "2", "8192",
+           "1e7", "1e12"]
 
 
 @settings(deadline=None, max_examples=300)

@@ -53,6 +53,15 @@ def test_a_finite_rent_cell_that_overflows_raises():
         metrics.metric_report(RAM, RentModel(1e-310 * 365 * 86400))
 
 
+def test_a_rent_that_underflows_to_zero_scans_a_terabyte_at_infinite_cost():
+    # 5e-317 $ over three years rents for 0 $/s, and a terabyte at 1e-300 B/s
+    # takes forever: the cell is inf, as price x time is, not 0 x inf = NaN
+    dust = devices.RamSpec("dust", price_per_mb=1e-310, unit_capacity_bytes=0.5,
+                           latency_s=1e-300, bandwidth_bps=1e-300)
+    assert metrics.dollar_rate(dust.price_dollars) == 0.0
+    assert metrics.metric_report(dust).dollars_per_tbscan == math.inf
+
+
 def test_dollars_per_tbscan():
     assert metrics.dollars_per_tbscan(DISK) == pytest.approx(4.23, abs=0.01)
     assert metrics.dollars_per_tbscan(RAM) == pytest.approx(0.317, abs=0.001)
