@@ -426,7 +426,8 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
     op the first uniform picks a page rank by inverse CDF over
     Zipf(zipf_s) (s=0 is uniform), the second makes it a write when below
     write_fraction.  Event k happens at k / ops_per_second.  Page ids
-    are the ranks 1..n_pages.
+    are the ranks 1..n_pages.  The columns are allocated once, at full
+    size, and filled in place a chunk of ops at a time.
     """
     if n_pages <= 0:
         raise ConfigError(f"n_pages must be > 0, got {n_pages}")
@@ -443,31 +444,52 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
                           "at an infinite time")
     labels = range(1, n_pages + 1)  # dense id k is rank k + 1
     id_code = "i" if n_pages <= 2**31 else "q"
-    if n_ops == 0:
-        return Trace(array("d"), array(id_code), labels, b"")
+    try:
+        trace = Trace(array("d", [0.0]) * n_ops, array(id_code, [0]) * n_ops, labels,
+                      bytearray(n_ops))
+        if n_ops:
+            _fill_trace(trace, seed, zipf_s, write_fraction, ops_per_second)
+    except (MemoryError, OverflowError):
+        raise ConfigError(f"{n_ops} ops over {n_pages} pages do not fit in memory") from None
+    return trace
+
+
+_GEN_OPS = 1 << 14  # ops generated per chunk
+
+
+def _fill_trace(trace: Trace, seed: int, zipf_s: float, write_fraction: float,
+                ops_per_second: float) -> None:
+    """Fill generate_trace's columns in place, _GEN_OPS ops at a time.
+
+    numpy writes through views of the columns, which die with this frame,
+    so the columns can be resized again once it returns.
+    """
     import numpy as np  # here, not at module level: analytic commands never need it
 
-    # LCG states vectorized: state_k = A^k * seed + (1 + A + ... + A^(k-1)) * C
-    n = 2 * n_ops
-    mult = np.uint64(LCG_MULT)
-    try:
-        apow = np.cumprod(np.full(n, mult, dtype=np.uint64))
-        geo = np.cumsum(np.concatenate((np.ones(1, dtype=np.uint64), apow[:-1])),
-                        dtype=np.uint64)
-        states = apow * np.uint64(seed & _U64) + geo * np.uint64(LCG_INC)
+    n_ops = len(trace)
+    times = np.frombuffer(trace.times, dtype=np.float64)
+    ids = np.frombuffer(trace.ids, dtype=trace.ids.typecode)
+    writes = np.frombuffer(trace.is_write, dtype=np.uint8)
+    # LCG jumps: state_(k+j) = A^j * state_k + (1 + A + ... + A^(j-1)) * C,
+    # for j = 1 .. 2 * _GEN_OPS, two states per op
+    apow = np.cumprod(np.full(2 * min(n_ops, _GEN_OPS), np.uint64(LCG_MULT)))
+    geo_c = np.cumsum(np.concatenate((np.ones(1, dtype=np.uint64), apow[:-1])),
+                      dtype=np.uint64) * np.uint64(LCG_INC)
+    n_pages = len(trace.labels)
+    weights = 1.0 / np.arange(1, n_pages + 1, dtype=np.float64) ** zipf_s
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    state = np.uint64(seed & _U64)
+    for lo in range(0, n_ops, _GEN_OPS):
+        hi = min(lo + _GEN_OPS, n_ops)
+        n = 2 * (hi - lo)
+        states = apow[:n] * state + geo_c[:n]
+        state = states[-1]
         uniforms = (states >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-        weights = 1.0 / np.arange(1, n_pages + 1, dtype=np.float64) ** zipf_s
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
         ranks = np.searchsorted(cdf, uniforms[0::2], side="right")
-        ids = np.minimum(ranks, n_pages - 1).astype(id_code)  # 0-based ranks
-        writes = uniforms[1::2] < write_fraction
-        times = np.arange(n_ops, dtype=np.float64) / ops_per_second
-    except MemoryError:
-        raise ConfigError(f"{n_ops} ops over {n_pages} pages do not fit in memory") from None
-    return Trace(array("d", times.tobytes()), array(id_code, ids.tobytes()), labels,
-                 writes.tobytes())
+        ids[lo:hi] = np.minimum(ranks, n_pages - 1)  # 0-based ranks
+        writes[lo:hi] = uniforms[1::2] < write_fraction
+        times[lo:hi] = np.arange(lo, hi, dtype=np.float64) / ops_per_second
 
 
 # --- trace and report serialization ---------------------------------------
@@ -475,7 +497,7 @@ def generate_trace(seed: int, n_ops: int, n_pages: int, zipf_s: float = 0.0,
 _OPS_OUT = {"read": "r", "write": "w"}
 # rows formatted per write; larger blocks are no faster and hold more (5 MB at 1 << 16)
 _WRITE_ROWS = 1 << 14
-_READ_CHARS = 1 << 20  # characters read per block, then up to the next newline
+_READ_CHARS = 1 << 17  # characters read per block, then up to the next newline
 _OP_FLAG = {"r": 0, "w": 1}
 
 

@@ -63,7 +63,9 @@ def _render(result, fmt: str, out) -> None:
 
 def _humanize_seconds(seconds: float) -> str:
     if seconds >= 2 * 86400:
-        return f"{seconds / 86400:.1f} days"
+        days = seconds / 86400
+        # .1f would print every digit of a huge count, most of them float noise
+        return f"{sig6(days) if days >= 1e6 else format(days, '.1f')} days"
     if seconds >= 2 * 3600:
         return f"{seconds / 3600:.1f} hours"
     if seconds >= 120:

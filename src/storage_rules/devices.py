@@ -32,7 +32,8 @@ class DeviceFileError(ValueError):
 
 
 def _check_fields(obj, *names: str) -> None:
-    """Require each named field finite and > 0, and a bandwidth that moves 1 MB in finite time."""
+    """Require each named field finite and > 0, a bandwidth that moves 1 MB
+    in finite time, and a full scan (scan_seconds) that ends."""
     for name in names:
         value = getattr(obj, name)
         if not 0 < value < math.inf:  # also false for NaN
@@ -40,6 +41,8 @@ def _check_fields(obj, *names: str) -> None:
     if 1e6 / obj.bandwidth_bps == math.inf:
         raise ValueError(f"{type(obj).__name__}.bandwidth_bps {obj.bandwidth_bps!r} is too "
                          f"small to transfer 1 MB in finite time")
+    if scan_seconds(obj) == math.inf:
+        raise ValueError(f"{type(obj).__name__} would take an infinite time to scan in full")
 
 
 # price_per_mb in $/MB; bandwidth_bps in bytes/s
@@ -98,6 +101,20 @@ class TapeRobotSpec(namedtuple("TapeRobotSpec", "name price_dollars tape_count "
 
 
 DeviceSpec = RamSpec | DiskSpec | TapeRobotSpec
+
+
+def scan_seconds(device: DeviceSpec) -> float:
+    """Time to sequentially read or write everything the device holds.
+
+    A tape robot mounts every tape once and streams each in full.
+    """
+    if isinstance(device, TapeRobotSpec):
+        return device.tape_count * (device.tape_capacity_bytes / device.bandwidth_bps
+                                    + device.mount_time_s)
+    if isinstance(device, RamSpec):
+        return device.unit_capacity_bytes / device.bandwidth_bps
+    return device.capacity_bytes / device.bandwidth_bps
+
 
 # kind -> record class: the device-file `kind` key
 _FIELDS_BY_KIND: dict[str, type] = {cls.kind: cls for cls in (RamSpec, DiskSpec, TapeRobotSpec)}

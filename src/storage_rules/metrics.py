@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .devices import DeviceSpec, RamSpec, TapeRobotSpec
+from .devices import DeviceSpec, TapeRobotSpec, scan_seconds
 
 THREE_YEARS_S = 3 * 365 * 86400  # 94,608,000 s
 
@@ -51,19 +51,6 @@ def kaps(device: DeviceSpec) -> float:
 def maps(device: DeviceSpec) -> float:
     """Megabyte accesses per second."""
     return access_rate(device, MB)
-
-
-def scan_seconds(device: DeviceSpec) -> float:
-    """Time to sequentially read or write everything the device holds.
-
-    A tape robot mounts every tape once and streams each in full.
-    """
-    if isinstance(device, TapeRobotSpec):
-        return device.tape_count * (device.tape_capacity_bytes / device.bandwidth_bps
-                                    + device.mount_time_s)
-    if isinstance(device, RamSpec):
-        return device.unit_capacity_bytes / device.bandwidth_bps
-    return device.capacity_bytes / device.bandwidth_bps
 
 
 def dollar_rate(price_dollars: float, rent: RentModel = RentModel()) -> float:

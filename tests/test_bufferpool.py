@@ -229,9 +229,8 @@ def test_generate_trace_deterministic():
     assert a != c
 
 
-def test_generate_trace_matches_scalar_reference():
-    # replay the documented recurrence with plain integers and bisect
-    seed, n_ops, n_pages, zipf_s, wf = 42, 50, 7, 1.3, 0.4
+def scalar_reference_trace(seed, n_ops, n_pages, zipf_s, wf, ops_per_second):
+    """The documented recurrence replayed with plain integers and bisect."""
     state = seed
     uniforms = []
     for _ in range(2 * n_ops):
@@ -248,9 +247,67 @@ def test_generate_trace_matches_scalar_reference():
     for i in range(n_ops):
         rank = min(bisect.bisect_right(cdf, uniforms[2 * i]), n_pages - 1) + 1
         op = "write" if uniforms[2 * i + 1] < wf else "read"
-        expected.append(TraceEvent(i / 10.0, rank, op))
+        expected.append(TraceEvent(i / ops_per_second, rank, op))
+    return expected
+
+
+def test_generate_trace_matches_scalar_reference():
+    seed, n_ops, n_pages, zipf_s, wf = 42, 50, 7, 1.3, 0.4
     got = generate_trace(seed, n_ops, n_pages, zipf_s, wf, ops_per_second=10.0)
-    assert got == expected
+    assert got == scalar_reference_trace(seed, n_ops, n_pages, zipf_s, wf, 10.0)
+
+
+GEN_OPS = bufferpool._GEN_OPS  # ops per generator chunk
+
+
+def test_generate_trace_matches_scalar_reference_across_chunks():
+    # two chunk jumps and a ragged tail
+    seed, n_ops, n_pages, zipf_s, wf = 42, 2 * GEN_OPS + 7, 7, 1.3, 0.4
+    got = generate_trace(seed, n_ops, n_pages, zipf_s, wf, ops_per_second=10.0)
+    assert got == scalar_reference_trace(seed, n_ops, n_pages, zipf_s, wf, 10.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**64 - 1),
+       m=st.sampled_from([1, GEN_OPS - 1, GEN_OPS, GEN_OPS + 1, 2 * GEN_OPS + 7]),
+       extra=st.sampled_from([1, 5, GEN_OPS]),
+       n_pages=st.integers(1, 600),
+       zipf_s=st.sampled_from([0.0, 0.8, 1.3]),
+       wf=st.sampled_from([0.0, 0.25, 1.0]),
+       ops_per_second=st.sampled_from([0.5, 1.0, 20.0]))
+def test_generate_trace_prefix_is_the_shorter_trace(seed, m, extra, n_pages, zipf_s, wf,
+                                                    ops_per_second):
+    # chunk boundaries fall at different events of the two traces
+    args = (n_pages, zipf_s, wf, ops_per_second)
+    full = generate_trace(seed, m + extra, *args)[:m]
+    part = generate_trace(seed, m, *args)
+    assert (full.times, full.ids, full.is_write) == (part.times, part.ids, part.is_write)
+
+
+def test_generate_trace_peak_memory_is_about_its_columns():
+    # the columns take 13 B/event; a chunk's numpy temporaries add a constant
+    generate_trace(1, 10, 10)  # numpy imported outside the traced call
+    n_ops = 200_000
+    tracemalloc.start()
+    trace = generate_trace(1, n_ops, 4096, 0.8, 0.25, 20.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(trace) == n_ops
+    assert peak < 40 * n_ops, peak / n_ops
+
+
+def test_read_trace_csv_peak_memory_is_bounded_by_its_block():
+    # only one block's fields are held at a time, not the file's
+    buf = io.StringIO()
+    write_trace_csv(generate_trace(1, 200_000, 4096, 0.8, 0.25, 20.0), buf)
+    fh = io.StringIO(buf.getvalue())
+    del buf
+    tracemalloc.start()
+    trace = read_trace_csv(fh)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(trace) == 200_000
+    assert peak - held < 4e6, peak - held
 
 
 def test_generate_trace_times_are_uniformly_spaced():

@@ -73,6 +73,9 @@ def test_breakeven_explicit_unit_inputs():
     ("7199", "break-even: 7199 s (120.0 minutes)"),
     ("36000", "break-even: 36000 s (10.0 hours)"),
     ("172800", "break-even: 172800 s (2.0 days)"),
+    ("86399913600", "break-even: 8.63999e+10 s (999999.0 days)"),
+    ("86400000000", "break-even: 8.64e+10 s (1e+06 days)"),
+    ("1e300", "break-even: 1e+300 s (1.15741e+295 days)"),
 ])
 def test_breakeven_summary_picks_its_unit(price, summary):
     code, out = run("breakeven", "--pages-per-mb", "1", "--accesses-per-sec", "1",
@@ -172,6 +175,8 @@ def device_block(name, kind, **changes):
     ("tape_robot", {"tape_count": "nan"}),
     ("disk", {"price_dollars": "inf"}),
     ("disk", {"bandwidth_bps": "1e-310"}),  # 1 MB would take an infinite time
+    ("disk", {"bandwidth_bps": "1e-300"}),  # 9e9 bytes would take an infinite time
+    ("tape_robot", {"bandwidth_bps": "1e-300"}),
 ])
 def test_bad_device_values_exit_3_at_the_block_line(tmp_path, capsys, kind, changes):
     path = tmp_path / "bad.device"
@@ -485,7 +490,7 @@ def test_gen_trace_sizes_it_cannot_represent_exit_2():
     # 2 / 1e-320 overflows to an infinite time
     assert run("gen-trace", "--seed", "1", "--ops", "3", "--pages", "3",
                "--ops-per-second", "1e-320") == (2, "")
-    # the LCG states alone would take 14.6 TiB
+    # the times column alone would take 7.3 TiB
     proc = run_cold("-m", "storage_rules.cli", "gen-trace", "--seed", "1",
                     "--ops", "1000000000000", "--pages", "3", address_space=1 << 30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
