@@ -15,8 +15,9 @@ with this one event for event:
 * Virtual time is the trace's own timestamps; nothing waits.  Times
   must be finite and non-decreasing; a NaN, an infinite or a backwards
   time raises TraceOrderError.
-* History membership: a page is on the list at time t iff its recorded
-  last touch is >= t - N (strictly older entries have lapsed).  The
+* History membership: a page is on the list at time t iff it has a
+  recorded last touch and that touch is >= t - N (strictly older
+  entries have lapsed), even where t - N overflows to -inf.  The
   membership test uses the state before the current access's touch is
   recorded; every access, hit or miss, records a touch afterwards.
 * A miss always counts one physical read (writes allocate too) and sets
@@ -238,14 +239,15 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     tuple per eviction, for auditing the protection guarantee; page is
     the label the trace gave.
     """
-    # history: page -> time of its last touch, -inf before the first
+    # history: page -> time of its last touch, NaN before the first, so
+    # that no bound admits it, not even a t - N that overflows to -inf
     if isinstance(trace, Trace):
         events = zip(trace.times, trace.ids, map(_OP_NAMES.__getitem__, trace.is_write))
         label = trace.labels.__getitem__
-        history = [-math.inf] * len(trace.labels)
+        history = [math.nan] * len(trace.labels)
     else:
         events, label = trace, None
-        history = defaultdict(lambda: -math.inf)
+        history = defaultdict(lambda: math.nan)
     frames = config.frames
     n_lifetime = config.n_minute_s
     cp = config.checkpoint_interval_s

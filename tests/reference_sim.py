@@ -1,8 +1,13 @@
 """Naive reference simulators used as oracles by the test suite.
 
-`brute_force_simulate` is a direct transcription of the pool semantics
-with linear scans and per-access recomputation everywhere; it shares no
-code or data structures with the production simulator.
+`brute_force_simulate` is a direct transcription of the pool semantics;
+it shares no code or data structures with the production simulator.
+Eviction stays a linear scan: it lists the eligible frames, scans them
+for the LRU or Clock2 victim, and the checkpoints and final flush scan
+every frame.  Only two lookups are indexed, so that it replays traces of
+1e5 events: list membership reads the page's last touch from a dict
+(`on_list`, the `bufferpool` rule), and a dict finds the resident
+page's frame.
 `plain_base_policy` is the bare LRU or Clock2 policy (dirty tracking and
 checkpoints, but no recency-list protection), for checking that N=0
 degenerates to it; only its page lookup is indexed, by a dict, so that
@@ -85,10 +90,21 @@ def _clock_victim_index(frames, candidates, state):
         i = (i + 1) % n
 
 
+def on_list(last_touch, page, t, n_lifetime):
+    """Whether page is on the recency list at t: touched at or after t - N.
+
+    last_touch maps each page touched so far to the time of its last
+    touch.  A page never touched is not on the list, even where t - N
+    overflows to -inf.
+    """
+    return page in last_touch and last_touch[page] >= t - n_lifetime
+
+
 def brute_force_simulate(trace, frames_count, base_policy="lru",
                          n_lifetime=0.0, checkpoint_interval=None) -> SimReport:
-    history: dict = {}
+    history: dict = {}  # page -> time of its last touch
     frames: list[_Frame] = []
+    index_of = {}  # page -> its index in frames
     counters = {"logical": 0, "physical": 0, "evictions": 0,
                 "contention_flushes": 0, "checkpoint_flushes": 0, "fallbacks": 0}
     cp_state = {"k": 1}
@@ -103,17 +119,11 @@ def brute_force_simulate(trace, frames_count, base_policy="lru",
         counters["logical"] += 1
         seq += 1
 
-        # prune the history eagerly (the naive reading of the rule)
-        history = {p: touched for p, touched in history.items()
-                   if touched >= t - n_lifetime}
-        on_list = page in history
+        listed = on_list(history, page, t, n_lifetime)
 
-        frame = None
-        for f in frames:
-            if f.page == page:
-                frame = f
-                break
-        if frame is not None:
+        idx = index_of.get(page)
+        if idx is not None:
+            frame = frames[idx]
             frame.use_seq = seq
             frame.ref = 1
             if op == "write" and not frame.dirty:
@@ -121,8 +131,9 @@ def brute_force_simulate(trace, frames_count, base_policy="lru",
                 frame.first_dirtied = t
         else:
             counters["physical"] += 1
-            protected_until = t + n_lifetime if on_list else t
+            protected_until = t + n_lifetime if listed else t
             if len(frames) < frames_count:
+                index_of[page] = len(frames)
                 frames.append(_Frame(page, t, protected_until, op == "write", seq))
             else:
                 eligible = [i for i in range(len(frames))
@@ -139,6 +150,8 @@ def brute_force_simulate(trace, frames_count, base_policy="lru",
                 counters["evictions"] += 1
                 if frames[idx].dirty:
                     counters["contention_flushes"] += 1
+                del index_of[frames[idx].page]
+                index_of[page] = idx
                 frames[idx] = _Frame(page, t, protected_until, op == "write", seq)
         history[page] = t
 

@@ -13,6 +13,7 @@ from reference_sim import (
     line_by_line_read_trace_csv,
     lru_reads,
     lru_stack_distances,
+    on_list,
     plain_base_policy,
     random_trace,
 )
@@ -180,10 +181,12 @@ FULL_LENGTH_ROWS = {
 
 
 def test_full_length_reports_are_pinned():
-    # the oracle replays only short traces, so whole-trace counts are pinned
+    # whole-trace counts are pinned, so that a change that moves both
+    # simulators alike still shows; the oracle must reproduce them too
     trace = generate_trace(7, 20_000, 512, zipf_s=0.8, write_fraction=0.5, ops_per_second=2.0)
     for (policy, n, cp), row in FULL_LENGTH_ROWS.items():
         assert simulate(trace, PoolConfig(64, policy, n, cp)).row() == row, (policy, n, cp)
+        assert brute_force_simulate(trace, 64, policy, n, cp).row() == row, (policy, n, cp)
 
 
 def test_clock2_gives_second_chances():
@@ -402,6 +405,53 @@ def test_n_zero_lru_equals_stack_distances_at_full_length():
         assert (got.physical_reads, got.evictions, got.hit_ratio) == want, frames
 
 
+def test_protected_pools_match_brute_force_at_full_length():
+    # 1e5 events over 1024 Zipf pages and 64 frames: N = 20 s makes about
+    # a fifth of evictions fallbacks, N = 266.7 s and 2000 s over 90%
+    trace = generate_trace(3, 100_000, 1024, zipf_s=0.8, write_fraction=0.25,
+                           ops_per_second=20.0)
+    for policy in ("lru", "clock2"):
+        for n in (20.0, 266.7, 2000.0):
+            got = simulate(trace, PoolConfig(64, policy, n, 300.0))
+            assert got == brute_force_simulate(trace, 64, policy, n, 300.0), (policy, n)
+    # a large pool that N = 1e6 keeps mostly protected: the Clock2 hand
+    # skips long protected stretches and wraps (794 of 6296 evictions
+    # are fallbacks)
+    trace = generate_trace(5, 20_000, 8192, zipf_s=0.8, write_fraction=0.25,
+                           ops_per_second=20.0)
+    got = simulate(trace, PoolConfig(2048, "clock2", 1e6))
+    assert (got.evictions, got.protected_eviction_fallbacks) == (6296, 794)
+    assert got == brute_force_simulate(trace, 2048, "clock2", 1e6)
+
+
+def _far_below_zero(trace):
+    # the same trace moved to times from -1e308 up to at most 0 (a
+    # random_trace spans at most 1000 s), where t - N overflows to -inf
+    # for N = 1e308 at the early events only, below about -7.97e307
+    return [TraceEvent(-1e308 + t * 1e305, page, op) for t, page, op in trace]
+
+
+def test_list_membership_by_last_touch_equals_the_eager_prune():
+    # the oracle's membership rule against the naive reading: at every
+    # event drop the entries older than t - N, then look.  The far
+    # negative traces with a huge N make t - N overflow to -inf, where a
+    # page never touched must still be off the list.
+    rng = random.Random(4)
+    overflowed_first_touches = 0
+    for _ in range(60):
+        trace = random_trace(rng)
+        for moved, lifetimes in ((trace, (0.0, 0.5, 2.0, 10.0, 100.0)),
+                                 (_far_below_zero(trace), (1e305, 1e308, 1.7e308))):
+            for n in lifetimes:
+                pruned, last_touch = {}, {}
+                for t, page, _ in moved:
+                    pruned = {p: touched for p, touched in pruned.items() if touched >= t - n}
+                    assert (page in pruned) == on_list(last_touch, page, t, n), (n, t, page)
+                    overflowed_first_touches += t - n == -math.inf and page not in pruned
+                    pruned[page] = last_touch[page] = t
+    assert overflowed_first_touches > 0
+
+
 def test_matches_brute_force_smoke():
     rng = random.Random(3)
     for policy in ("lru", "clock2"):
@@ -415,6 +465,30 @@ def test_matches_brute_force_smoke():
             want = brute_force_simulate(trace, frames, policy, n, cp)
             assert got == want, (policy, frames, n, cp)
             assert got.physical_reads <= got.logical_accesses
+
+
+def test_far_negative_times_and_huge_n_match_brute_force():
+    # t - N overflows to -inf: a page loaded for the first time is not on
+    # the list, so it is not protected and forces no fallback
+    first_loads = [TraceEvent(-1e308, "A", "read"), TraceEvent(-1e308, "B", "read")]
+    for policy in ("lru", "clock2"):
+        got = simulate(first_loads, PoolConfig(1, policy, 1e308))
+        assert got.protected_eviction_fallbacks == 0, policy
+        assert got == brute_force_simulate(first_loads, 1, policy, 1e308), policy
+    rng = random.Random(5)
+    for _ in range(40):
+        trace = _far_below_zero(random_trace(rng))
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        as_columns = read_trace_csv(io.StringIO(buf.getvalue()))  # a Trace
+        frames = rng.randint(1, 8)
+        n = rng.choice([1e305, 1e308, 1.7e308])
+        for policy in ("lru", "clock2"):
+            for cp in (None, 5.0):
+                config = PoolConfig(frames, policy, n, cp)
+                want = brute_force_simulate(trace, frames, policy, n, cp)
+                assert simulate(trace, config) == want, (policy, frames, n, cp)
+                assert simulate(as_columns, config) == want, (policy, frames, n, cp)
 
 
 _CP = 5.0
