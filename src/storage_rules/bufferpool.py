@@ -65,9 +65,11 @@ state that acting on its own entry would.
 Each frame keeps one byte: bit 1 is the protected flag, bit 0 Clock2's
 reference bit.  The Clock2 hand clears the 1 bytes it passes and stops
 at a 0 byte (in a fallback, the 3 bytes and a 2); at a protected frame
-it leaves the rest of the sweep to bytearray.find, which skips
-protected frames in C, and one translate clears the reference bits
-passed.
+it leaves the rest of the sweep to bytearray.find, and one
+bytearray.replace clears the reference bits passed.  Each was set by a
+hit or a load, so only the Python work per cleared bit is amortised over
+events: the passed stretch, protected frames too, is still searched and
+copied in C.
 
 LRU parks the protected pages its scan from the cold end meets: a
 parked page leaves the recency order and is older than every page still
@@ -115,10 +117,6 @@ _U64 = (1 << 64) - 1
 TRACE_HEADER = "time,page,op"
 REPORT_HEADER = ("logical,physical,hit_ratio,evictions,"
                  "contention_flushes,checkpoint_flushes,fallbacks")
-
-
-# clears Clock2's reference bit (byte 1 -> 0) but not a protected frame's
-_CLEAR_REF = bytes.maketrans(b"\x01", b"\x00")
 
 
 class ConfigError(ValueError):
@@ -253,7 +251,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     cp = config.checkpoint_interval_s
     lru = config.base_policy == "lru"
 
-    from heapq import heappop, heappush  # here: analytic commands never need it
+    from heapq import heappop, heappush  # here: gen-trace never needs it
 
     # page -> slot of each resident page but the parked ones; under LRU the
     # order is recency, least recent first
@@ -271,7 +269,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     lapsed = []  # heap of (park number, slot) of parked pages no longer protected
     park_no = 0
     hand = 0
-    logical = physical = evictions = contention = dirtyings = fallbacks = 0
+    logical = physical = contention = dirtyings = fallbacks = 0
     inf = math.inf
     # A frame dirtied at d is flushed by t iff d < _cutoff(t), which is
     # settled at its next write or eviction: d > t - lag is still dirty,
@@ -297,16 +295,14 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
 
         logical += 1
         i = slot_of.get(page)
-        if i is None and parked:
-            i = parked.pop(page, None)
-            if i is not None:  # a hit returns a parked page to the recent end
-                parked_at[i] = 0
-                slot_of[page] = i
         if i is not None:
             if lru:
                 move_to_end(page)
             else:
                 ref[i] |= 1
+        elif parked and (i := parked.pop(page, None)) is not None:
+            parked_at[i] = 0  # a hit returns a parked page to the recent end
+            slot_of[page] = i
         else:
             physical += 1
             prot = t + n_lifetime if history[page] >= t - n_lifetime else t
@@ -328,6 +324,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                 was_fallback = n_protected == frames
                 if was_fallback:
                     n_protected -= 1  # the victim is one of them
+                    fallbacks += 1
                 if not lru:
                     # The hand clears the reference bits of the candidates it
                     # passes (all frames in a fallback, else the eligible ones)
@@ -342,13 +339,13 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                         hand = i
                         i = ref.find(0, hand)
                         if i < 0:  # wrap to slot 0
-                            ref[hand:] = ref[hand:].translate(_CLEAR_REF)
+                            ref[hand:] = ref[hand:].replace(b"\x01", b"\x00")
                             hand = 0
                             i = ref.find(0)
                             if i < 0:  # every eligible frame was referenced
-                                ref = ref.translate(_CLEAR_REF)
+                                ref[:] = ref.replace(b"\x01", b"\x00")
                                 i = ref.find(0)
-                        ref[hand:i] = ref[hand:i].translate(_CLEAR_REF)
+                        ref[hand:i] = ref[hand:i].replace(b"\x01", b"\x00")
                     hand = i + 1 if i + 1 < frames else 0
                     old = slot_page[i]
                     del slot_of[old]
@@ -373,9 +370,6 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
                             parked[old] = i
                             parked_at[i] = park_no
                             old, i = slot_of.popitem(last=False)
-                evictions += 1
-                if was_fallback:
-                    fallbacks += 1
                 d = dirtied[i]
                 if d > t - margin and (d > t - lag or d >= _cutoff(t, cp)):  # still dirty
                     contention += 1
@@ -405,6 +399,7 @@ def simulate(trace: Iterable[tuple], config: PoolConfig,
     # every dirty spell ends in one flush: an eviction's, or with checkpoints
     # a boundary's or the final checkpoint's
     checkpoints = dirtyings - contention if cp is not None else 0
+    evictions = physical - len(slot_page)  # every other miss filled a free frame
     hit_ratio = 1.0 - physical / logical if logical else 0.0
     return SimReport(logical, physical, evictions, contention, checkpoints,
                      fallbacks, hit_ratio)
@@ -466,7 +461,7 @@ def _fill_trace(trace: Trace, seed: int, zipf_s: float, write_fraction: float,
     numpy writes through views of the columns, which die with this frame,
     so the columns can be resized again once it returns.
     """
-    import numpy as np  # here, not at module level: analytic commands never need it
+    import numpy as np  # here, not at module level: simulate never needs it
 
     n_ops = len(trace)
     times = np.frombuffer(trace.times, dtype=np.float64)
@@ -496,7 +491,6 @@ def _fill_trace(trace: Trace, seed: int, zipf_s: float, write_fraction: float,
 
 # --- trace and report serialization ---------------------------------------
 
-_OPS_OUT = {"read": "r", "write": "w"}
 # rows formatted per write; larger blocks are no faster and hold more (5 MB at 1 << 16)
 _WRITE_ROWS = 1 << 14
 _READ_CHARS = 1 << 17  # characters read per block, then up to the next newline
@@ -504,37 +498,41 @@ _OP_FLAG = {"r": 0, "w": 1}
 
 
 def write_trace_csv(trace: Iterable[TraceEvent], fh: io.TextIOBase) -> None:
-    """Trace CSV: header ``time,page,op``; op is r/w.
+    """Trace CSV: header ``time,page,op``; op is w for "write", else r.
 
     Times keep full precision (repr) so a written trace replays exactly.
-    Rows are formatted and written a block at a time.  A Trace's rows are
-    joined from its columns: the repr of each time, the ``,page,`` cell
-    of its page id, formatted once per distinct page, and ``r`` or ``w``.
+    Rows are formatted and written a block at a time: the repr of each
+    time, the ``,page,`` cell of its page, formatted once per distinct
+    page, and ``r`` or ``w``.  A page label with a comma or a line break
+    raises ValueError once the blocks before it are written.
     """
     fh.write(TRACE_HEADER + "\n")
     if isinstance(trace, Trace):
         lines = map("".join, zip(map(repr, trace.times),
-                                 map(_PageCells(trace.labels).__getitem__, trace.ids),
+                                 map(_PageCells(trace.labels.__getitem__).__getitem__, trace.ids),
                                  map(("r\n", "w\n").__getitem__, trace.is_write)))
     else:
-        lines = (f"{t!r},{page},{_OPS_OUT[op]}\n" for t, page, op in trace)
+        cells = _PageCells(format)
+        lines = (f"{t!r}{cells[page]}{'w' if op == 'write' else 'r'}\n" for t, page, op in trace)
     while block := "".join(islice(lines, _WRITE_ROWS)):
         fh.write(block)
 
 
 class _PageCells(dict):
-    """page id -> ``,label,``, formatted at the id's first lookup.
+    """page -> ``,label,``, formatted and checked at the page's first lookup.
 
     Lazy, so a label table far larger than the trace (generate_trace's
     range of every page) costs only the pages that occur.
     """
-    __slots__ = ("labels",)
+    __slots__ = ("label",)
 
-    def __init__(self, labels: Sequence):
-        self.labels = labels
+    def __init__(self, label):  # label(page) is the label to write
+        self.label = label
 
-    def __missing__(self, page_id: int) -> str:
-        cell = self[page_id] = f",{self.labels[page_id]},"
+    def __missing__(self, page) -> str:
+        cell = self[page] = f",{self.label(page)},"
+        if cell.count(",") > 2 or "\n" in cell or "\r" in cell:
+            raise ValueError(f"page label {cell[1:-1]!r} contains ',' or a line break")
         return cell
 
 

@@ -812,6 +812,45 @@ def test_trace_csv_round_trip_replays_identically():
     assert simulate(again, config) == simulate(trace, config)
 
 
+# Labels are all ints or all strs: the CSV cannot tell 5 from "5".  Any op
+# but "write" is a read, for simulate and for write_trace_csv alike.
+_CSV_LABEL_TEXT = st.text(st.characters(blacklist_characters=",\n\r"), max_size=5)
+
+
+@settings(deadline=None, max_examples=80)
+@given(steps=st.lists(st.tuples(st.sampled_from([0.0, 0.1, 1.0, 7.3, 40.0]),
+                                st.integers(0, 7),
+                                st.one_of(st.sampled_from(["read", "write", "READ", "w"]),
+                                          st.text(max_size=5))), max_size=80),
+       labels=st.one_of(st.lists(st.integers(), min_size=8, max_size=8, unique=True),
+                        st.lists(_CSV_LABEL_TEXT, min_size=8, max_size=8, unique=True)),
+       frames=st.integers(1, 6),
+       bad=st.tuples(_CSV_LABEL_TEXT, st.sampled_from(",\n\r"),
+                     _CSV_LABEL_TEXT).map("".join))
+def test_trace_csv_round_trip_keeps_any_label_and_op(steps, labels, frames, bad):
+    events, t = [], 0.0
+    for step, k, op in steps:
+        t += step
+        events.append(TraceEvent(t, labels[k], op))
+    buf = io.StringIO()
+    write_trace_csv(events, buf)
+    again = read_trace_csv(io.StringIO(buf.getvalue()))
+    for policy in ("lru", "clock2"):
+        for n in (0.0, 20.0):
+            config = PoolConfig(frames=frames, base_policy=policy, n_minute_s=n,
+                                checkpoint_interval_s=30.0)
+            assert simulate(again, config) == simulate(events, config), (policy, n)
+    rewritten = io.StringIO()
+    write_trace_csv(again, rewritten)
+    assert rewritten.getvalue() == buf.getvalue()
+    # a label that would split its row is refused, from a list and from a Trace
+    for source in (events + [TraceEvent(t, bad, "read")],
+                   Trace(array("d", [0.0]), array("i", [0]), [bad], b"\x01")):
+        with pytest.raises(ValueError) as err:
+            write_trace_csv(source, io.StringIO())
+        assert str(err.value) == f"page label {bad!r} contains ',' or a line break"
+
+
 def test_write_trace_csv_formats_only_the_pages_that_occur():
     # a label table of 2**40 pages: formatting each one would never finish
     trace = Trace(array("d", [0.0, 0.5, 2.0]), array("q", [7, 2**40 - 1, 7]),
