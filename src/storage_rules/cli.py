@@ -189,6 +189,8 @@ def _cmd_seqrule(args):
 
     ep = rules.EconomicParams(args.device_price, args.ram_price)
     if args.curve:
+        if args.passes != "read_once":
+            raise ValueError("--curve models a single read, not --passes write_then_read")
         if args.page_sizes:
             sizes = _parse_size_list(args.page_sizes)
         else:
@@ -208,10 +210,8 @@ def _cmd_seqrule(args):
                  "about 40 s; the formula gives the value above for these "
                  "parameters."])
     if args.asymptote:
-        interval = rules.sequential_break_even(args.bandwidth_bps, ep)
+        interval = rules.sequential_break_even(args.bandwidth_bps, ep, args.passes)
         return "bandwidth_bps,interval_s", [(args.bandwidth_bps, interval)], []
-    if args.transfer_bytes is None:
-        raise ValueError("need --transfer-bytes (or --curve / --asymptote)")
     if not 0 < args.transfer_bytes < math.inf:  # it cancels, but the row prints it
         raise ValueError("--transfer-bytes must be finite and > 0")
     interval = rules.sequential_break_even(args.bandwidth_bps, ep, args.passes)
@@ -236,8 +236,6 @@ def _cmd_sortplan(args):
         largest = sorting.max_two_pass_file(args.memory_bytes, buffer_bytes, c_buf, c_sqrt)
         return ("memory_bytes,buffer_bytes,max_file_bytes",
                 [(args.memory_bytes, buffer_bytes, largest)], [])
-    if args.file_bytes is None:
-        raise ValueError("need --file-bytes (or --max-file)")
     memory_needed = sorting.two_pass_memory(args.file_bytes, buffer_bytes, c_buf, c_sqrt)
     recommended = sorting.choose_pass_count(args.file_bytes, threshold)
     if args.memory_bytes is None:
@@ -286,13 +284,11 @@ def _cmd_indexsize(args):
                 ["note: the published 3 MB/s and 1 MB/s rows imply 11-12 ms "
                  "latencies and do not match a fixed 10 ms model; rows above "
                  "use the 10 ms formula."])
-    if args.page_bytes is None and not args.candidates:
-        raise ValueError("need --page-bytes, --candidates, --table6 or --figure7")
     params = indexing.IndexParams(entry_bytes=args.entry_bytes,
                                   fill_factor=args.fill,
                                   n_items=args.n_items)
     model = indexing.PageCostModel(args.latency_s, args.bandwidth_bps)
-    if args.candidates:
+    if args.candidates is not None:
         sizes = _parse_size_list(args.candidates)
         best_size, _ = indexing.optimal_page_size(sizes, params, model)
         evals = [indexing.evaluate_page(s, params, model) for s in sizes]
@@ -454,16 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_breakeven)
 
     p = sub.add_parser("seqrule", help="sequential-access break-even rules")
-    p.add_argument("--transfer-bytes", type=float)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--transfer-bytes", type=float)
+    mode.add_argument("--asymptote", action="store_true",
+                      help="large-transfer limit instead of a point value")
+    mode.add_argument("--curve", action="store_true",
+                      help="interval vs page size series")
     p.add_argument("--bandwidth-bps", type=float, required=True)
     p.add_argument("--passes", choices=("read_once", "write_then_read"),
                    default="read_once")
     p.add_argument("--device-price", type=float, default=2000.0)
     p.add_argument("--ram-price", type=float, default=DEFAULT_RAM_PRICE)
-    p.add_argument("--asymptote", action="store_true",
-                   help="large-transfer limit instead of a point value")
-    p.add_argument("--curve", action="store_true",
-                   help="interval vs page size series")
     p.add_argument("--latency-s", type=float, default=0.01)
     p.add_argument("--page-min", type=float, default=2048)
     p.add_argument("--page-max", type=float, default=64 * 2**20)
@@ -472,11 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_seqrule)
 
     p = sub.add_parser("sortplan", help="one-pass/two-pass sort memory planning")
-    p.add_argument("--file-bytes", type=float)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--file-bytes", type=float)
+    mode.add_argument("--max-file", action="store_true",
+                      help="largest two-pass file for --memory-bytes")
     p.add_argument("--buffer-bytes", type=float, default=8192)
     p.add_argument("--memory-bytes", type=float)
-    p.add_argument("--max-file", action="store_true",
-                   help="largest two-pass file for --memory-bytes")
     # None: _cmd_sortplan applies sorting's defaults, so the parser needs no sorting
     p.add_argument("--c-buf", type=float)
     p.add_argument("--c-sqrt", type=float)
@@ -485,12 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sortplan)
 
     p = sub.add_parser("indexsize", help="index page utility, cost, and optimum")
-    p.add_argument("--table6", action="store_true",
-                   help="reference tabulation: 20 B entries, 0.7 fill, 10 ms, 10 MB/s")
-    p.add_argument("--figure7", action="store_true",
-                   help="benefit/cost grids over entry sizes and disk speeds")
-    p.add_argument("--page-bytes", type=float)
-    p.add_argument("--candidates", help="comma-separated page sizes to search")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table6", action="store_true",
+                      help="reference tabulation: 20 B entries, 0.7 fill, 10 ms, 10 MB/s")
+    mode.add_argument("--figure7", action="store_true",
+                      help="benefit/cost grids over entry sizes and disk speeds")
+    mode.add_argument("--page-bytes", type=float)
+    mode.add_argument("--candidates", help="comma-separated page sizes to search")
     p.add_argument("--entry-bytes", type=float, default=20)
     p.add_argument("--fill", type=float, default=0.7)
     p.add_argument("--latency-s", type=float, default=0.01)

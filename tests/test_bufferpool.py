@@ -2,6 +2,7 @@ import bisect
 import io
 import math
 import random
+import statistics
 import tracemalloc
 from array import array
 
@@ -893,6 +894,7 @@ def test_trace_reads_as_a_sequence_of_events():
     assert trace != events[:2] and trace != events[:2] + [TraceEvent(2.0, 3, "read")]
     assert [page for _, page, _ in trace] == [3, 1, 3]
     assert generate_trace(1, 0, 10) == [] and read_trace_csv(io.StringIO("time,page,op\n")) == []
+    assert (generate_trace(1, 3, 2) == 5) is False  # not a sequence: NotImplemented
 
 
 def test_read_trace_csv_pages_are_strings():
@@ -968,3 +970,49 @@ def test_recommended_n():
     seq = bufferpool.recommended_n(rules.TechnologyParams(rules.BINARY_MB, 5 * 2**20),
                                    rules.EconomicParams(2000, 15))
     assert seq == pytest.approx(26.67, abs=0.01)
+
+
+def _victim_idle_ages(trace, log):
+    """Each eviction's time less the victim's last touch; trace times are distinct."""
+    last_touch, ages, k = {}, [], 0
+    for t, page, _ in trace:
+        while k < len(log) and log[k][1] == t:
+            ages.append(t - last_touch[log[k][2]])
+            k += 1
+        last_touch[page] = t
+    assert k == len(log)
+    return ages
+
+
+def test_five_minute_rule_on_a_zipf_trace():
+    # scripts/nminute_sweep.py's default trace, not tuned; the economic pool
+    # for the 1997 prices lies between 1024 and 4096 frames
+    trace = generate_trace(20260809, 200_000, 16384, 0.8, 0.25, 20)
+    n_be = bufferpool.recommended_n(rules.TechnologyParams(128, 64),
+                                    rules.EconomicParams(2000, 15))
+
+    def run(policy, frames, n, log=None):
+        return simulate(trace, PoolConfig(frames, policy, n, 300), event_log=log)
+
+    # Below it, protecting for N = break-even raises the hit ratio with no
+    # fallback (LRU 0.37146 -> 0.404695, Clock2 0.360135 -> 0.406175), and
+    # N = 2000 starves the pool: most evictions are fallbacks.
+    for policy, reads, starved in [("lru", (125708, 119061), (89407, 119901)),
+                                   ("clock2", (127973, 118765), (91427, 121875))]:
+        at_0, at_be, at_2000 = (run(policy, 1024, n) for n in (0, n_be, 2000))
+        assert (at_0.physical_reads, at_be.physical_reads) == reads, policy
+        assert at_0.protected_eviction_fallbacks == at_be.protected_eviction_fallbacks == 0
+        assert (at_2000.protected_eviction_fallbacks, at_2000.evictions) == starved, policy
+    # Above it, LRU already evicts only pages idle longer than N = break-even,
+    # so N changes nothing.  Clock2 only approximates recency: there N moves
+    # its counters (78510 -> 78479 reads).
+    at_0 = run("lru", 4096, 0)
+    assert run("lru", 4096, n_be) == at_0
+    assert (at_0.physical_reads, at_0.evictions) == (76370, 72274)
+    # At N = 0 the median victim has been idle for less than N = break-even
+    # on the small pool and for more on the large one.
+    for frames, median_age, below in [(1024, 70.2, True), (4096, 395.7, False)]:
+        log = []
+        run("lru", frames, 0, log)
+        age = statistics.median(_victim_idle_ages(trace, log))
+        assert (round(age, 1), age < n_be) == (median_age, below), frames

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import resource
@@ -293,10 +294,12 @@ def test_seqrule_curve_and_asymptote():
     assert float(csv_rows(out)[1][0][1]) == pytest.approx(13.333, abs=0.001)
     # the transfer size cancels: a point prints the asymptote's interval
     for bandwidth in (str(10 * 2**20), "1e7"):
-        point, asymptote = (run("seqrule", *mode, "--bandwidth-bps", bandwidth, "--format", "csv")
-                            for mode in (["--transfer-bytes", "100000"], ["--asymptote"]))
-        assert point[0] == asymptote[0] == 0
-        assert csv_rows(point[1])[1][0][-1] == csv_rows(asymptote[1])[1][0][-1]
+        for passes in ("read_once", "write_then_read"):
+            point, asymptote = (run("seqrule", *mode, "--bandwidth-bps", bandwidth,
+                                    "--passes", passes, "--format", "csv")
+                                for mode in (["--transfer-bytes", "100000"], ["--asymptote"]))
+            assert point[0] == asymptote[0] == 0
+            assert csv_rows(point[1])[1][0][-1] == csv_rows(asymptote[1])[1][0][-1]
     code, out = run("seqrule", "--curve", "--bandwidth-bps", str(10 * 2**20))
     assert "note:" in out and "asymptote" in out
     # each would keep the size-doubling loop from ever passing --page-max
@@ -321,6 +324,27 @@ def test_intervals_that_are_not_finite_and_positive_exit_2(capsys, argv):
     assert run(*argv) == (2, "")
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("error: ")
+
+
+# Each names two modes of one command, or a --passes the curve does not model.
+@pytest.mark.parametrize("argv, message", [
+    (["seqrule", "--asymptote", "--curve", "--transfer-bytes", "5", "--bandwidth-bps", "5242880"],
+     "argument --curve: not allowed with argument --asymptote"),
+    (["seqrule", "--transfer-bytes", "5", "--asymptote", "--bandwidth-bps", "5242880"],
+     "argument --asymptote: not allowed with argument --transfer-bytes"),
+    (["sortplan", "--max-file", "--memory-bytes", "1e8", "--file-bytes", "5"],
+     "argument --file-bytes: not allowed with argument --max-file"),
+    (["indexsize", "--candidates", "4096,8192", "--page-bytes", "5"],
+     "argument --page-bytes: not allowed with argument --candidates"),
+    (["indexsize", "--table6", "--figure7"],
+     "argument --figure7: not allowed with argument --table6"),
+    (["seqrule", "--curve", "--bandwidth-bps", "5242880", "--passes", "write_then_read"],
+     "--curve models a single read, not --passes write_then_read"),
+], ids=["seqrule-three", "seqrule-two", "sortplan", "indexsize-sizes", "indexsize-tables",
+        "seqrule-curve-passes"])
+def test_two_modes_of_one_command_exit_2(capsys, argv, message):
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: " + message)
 
 
 def test_sortplan_plan_and_inverse():
@@ -465,6 +489,11 @@ def test_gen_trace_and_simulate_round_trip(tmp_path):
 def test_gen_trace_stdout_is_byte_stable():
     argv = ["gen-trace", "--seed", "5", "--ops", "50", "--pages", "6"]
     assert run(*argv) == run(*argv)
+    # seven generator chunks; with uniform pages the CDF is exact, so the digest is fixed
+    code, out = run("gen-trace", "--seed", "1", "--ops", "100000", "--pages", "4096",
+                    "--write-fraction", "0.25")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "982956746392a585ebd8f869e56ac8b568aebc6204a84a929eaef6272485c606")
 
 
 @pytest.mark.parametrize("argv, lines_read", [
@@ -522,6 +551,31 @@ def test_simulate_frames_far_beyond_the_trace(tmp_path):
                     "--frames", "1000000000000", "--format", "csv", address_space=1 << 30)
     assert proc.returncode == 0, proc.stderr
     assert csv_rows(proc.stdout)[1] == [["1", "1", "0", "0", "0", "0", "0"]]
+
+
+def test_simulate_wrap_heavy_clock2_row(tmp_path):
+    # the hand passes long protected stretches, and 794 of 6296 evictions fall back
+    trace_path = tmp_path / "big.csv"
+    assert run("gen-trace", "--seed", "5", "--ops", "20000", "--pages", "8192",
+               "--zipf-s", "0.8", "--write-fraction", "0.25", "--ops-per-second", "20",
+               "--out", str(trace_path)) == (0, "")
+    code, out = run("simulate", "--trace", str(trace_path), "--frames", "2048",
+                    "--policy", "clock2", "--n-seconds", "1e6", "--checkpoint", "300",
+                    "--format", "csv")
+    assert (code, out.splitlines()[-1]) == (0, "20000,8344,0.5828,6296,1998,1152,794")
+
+
+def test_simulate_all_resident_write_heavy_trace_is_the_same_for_both_policies(tmp_path):
+    # every page stays resident, so only the checkpoints flush
+    trace_path = tmp_path / "cw.csv"
+    assert run("gen-trace", "--seed", "1", "--ops", "20000", "--pages", "512",
+               "--write-fraction", "0.9", "--ops-per-second", "0.5",
+               "--out", str(trace_path)) == (0, "")
+    lru, clock2 = (run("simulate", "--trace", str(trace_path), "--frames", "512",
+                       "--policy", policy, "--checkpoint", "1", "--format", "csv")
+                   for policy in ("lru", "clock2"))
+    assert lru == clock2
+    assert lru[0] == 0 and csv_rows(lru[1])[1][0][3] == "0"  # no evictions
 
 
 def test_simulate_input_errors_exit_3(tmp_path):

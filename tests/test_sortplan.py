@@ -75,9 +75,9 @@ def test_max_two_pass_file_boundary_error():
         sorting.max_two_pass_file(6 * 8192, 8192)
     with pytest.raises(ValueError, match="insufficient memory"):
         sorting.max_two_pass_file(100, 8192)
-    for memory in (math.nan, math.inf):
+    for args in ((math.nan, 8192), (math.inf, 8192), (1e9, math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            sorting.max_two_pass_file(memory, 8192)
+            sorting.max_two_pass_file(*args)
     # the square overflows to inf instead of raising OverflowError
     assert sorting.max_two_pass_file(1e300, 8192) == math.inf
 
