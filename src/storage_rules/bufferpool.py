@@ -91,13 +91,18 @@ lapsed).  Per-slot state grows as the pool fills, so frames beyond the
 trace's distinct pages cost nothing.
 
 Traces.  A Trace holds a trace as three columns (times, dense page ids
-with an id -> label table, write flags); simulate keys its state by the
-dense ids, keeps the last touch of each page in a flat list indexed by
-them, and reports labels in the event log.  Any other iterable of
-(time, page, op) is run as it is, keyed by its pages.  read_trace_csv
-splits whole blocks of plain lines at once and parses any other block
-line by line, so what it accepts and the errors it reports are those of
-a line-by-line reader.
+with an id -> label table, write flags).  read_trace_chunks reads a
+trace CSV as a stream of such columns, one chunk per block of lines,
+each with the count of distinct pages so far; it splits whole blocks of
+plain lines at once and parses any other block line by line, so what it
+accepts and the errors it reports are those of a line-by-line reader.
+read_trace_csv joins the chunks into a Trace.  simulate runs a Trace as
+one chunk and a TraceChunks stream chunk by chunk as it arrives, so the
+CLI can parse in one process while it simulates in another.  It keys
+its state by the dense ids, keeps the last touch of each page in a flat
+list indexed by them, grown to each chunk's page count, and reports
+labels in the event log.  Any other iterable of (time, page, op) is run
+as it is, keyed by its pages.
 """
 from __future__ import annotations
 
@@ -108,7 +113,7 @@ import sys
 from array import array
 from collections import OrderedDict, defaultdict, deque, namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import islice
+from itertools import chain, islice
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -227,25 +232,40 @@ def _cutoff(t: float, cp: float) -> float:
     return k * cp - cp
 
 
+class TraceChunks(namedtuple("TraceChunks", "chunks")):
+    """A trace as an iterable of read_trace_chunks' chunks, run as they arrive."""
+    __slots__ = ()
+
+
+def _chunk_events(chunks, history: list):
+    """Each chunk's (time, id, op) events, once history has a slot for its pages."""
+    for times, ids, is_write, pages in chunks:
+        history += [math.nan] * (pages - len(history))
+        yield zip(times, ids, map(_OP_NAMES.__getitem__, is_write))
+
+
 def simulate(trace: Iterable[tuple], config: PoolConfig,
              event_log: list | None = None) -> SimReport:
     """Run the pool over a time-ordered trace and return the counters.
 
-    trace is a Trace, whose dense page ids key the pool's state, or any
-    iterable of (time, page, op), whose pages do.  event_log, when given,
-    receives one ("evict", time, page, protected_until, was_fallback)
-    tuple per eviction, for auditing the protection guarantee; page is
-    the label the trace gave.
+    trace is a Trace or TraceChunks, whose dense page ids key the pool's
+    state, or any iterable of (time, page, op), whose pages do.
+    event_log, when given, receives one ("evict", time, page,
+    protected_until, was_fallback) tuple per eviction, for auditing the
+    protection guarantee; page is the label the trace gave (the dense id,
+    for TraceChunks).
     """
     # history: page -> time of its last touch, NaN before the first, so
     # that no bound admits it, not even a t - N that overflows to -inf
-    if isinstance(trace, Trace):
-        events = zip(trace.times, trace.ids, map(_OP_NAMES.__getitem__, trace.is_write))
+    label = None
+    if isinstance(trace, Trace):  # one chunk
         label = trace.labels.__getitem__
-        history = [math.nan] * len(trace.labels)
+        trace = TraceChunks([(trace.times, trace.ids, trace.is_write, len(trace.labels))])
+    if isinstance(trace, TraceChunks):
+        history = []
+        events = chain.from_iterable(_chunk_events(trace.chunks, history))
     else:
-        events, label = trace, None
-        history = defaultdict(lambda: math.nan)
+        events, history = trace, defaultdict(lambda: math.nan)
     frames = config.frames
     n_lifetime = config.n_minute_s
     cp = config.checkpoint_interval_s
@@ -537,23 +557,35 @@ class _PageCells(dict):
 
 
 def read_trace_csv(fh: io.TextIOBase) -> Trace:
-    """Read a trace CSV into a Trace whose page labels are strings.
+    """Read a trace CSV, as read_trace_chunks does, into a Trace with string labels."""
+    times, ids, is_write = array("d"), array("i"), bytearray()
+    id_of: dict = {}
+    for t_col, id_col, w_col, _ in read_trace_chunks(fh, id_of):
+        times += t_col
+        ids += id_col
+        is_write += w_col
+    return Trace(times, ids, list(id_of), is_write)
 
-    The file is read in blocks of whole lines.  A block of plain
-    ``time,page,r|w`` lines is split at once; any other block is parsed
-    line by line, which skips blank lines, strips each line and reports
-    the first bad line by its number.  Invalid UTF-8 met by the header
-    read names its line; met by a block read, it names the block's first
-    line, as the decoder reads ahead, and so pre-empts a malformed line
-    earlier in that block.
+
+def read_trace_chunks(fh: io.TextIOBase, id_of: dict):
+    """Yield a trace CSV's events as column chunks, one per block of lines.
+
+    A chunk is (times, ids, is_write, pages): an array('d') of times, an
+    array('i') of dense page ids, one byte per event that is 1 for a
+    write, and the count of distinct pages so far; id_of receives each
+    page label, as a string, with its dense id.  The file is read in
+    blocks of whole lines.  A block of plain ``time,page,r|w`` lines is
+    split at once; any other block is parsed line by line, which skips
+    blank lines, strips each line and reports the first bad line by its
+    number.  Invalid UTF-8 met by the header read names its line; met
+    by a block read, it names the block's first line, as the decoder
+    reads ahead, and so pre-empts a malformed line earlier in that block.
     """
     lineno = 1  # the first line of the text being read
     try:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if header != TRACE_HEADER:
             raise ValueError(f"trace file must start with {TRACE_HEADER!r}, got {header!r}")
-        times, ids, is_write = array("d"), array("i"), bytearray()
-        id_of: dict = {}  # page label -> dense id
         intern = id_of.setdefault
         lineno = 2
         while block := fh.read(_READ_CHARS):
@@ -563,9 +595,8 @@ def read_trace_csv(fh: io.TextIOBase) -> Trace:
                     block += "\n"
             lines = block.count("\n")
             t_col, pages, w_col = _split_block(block, lines) or _parse_lines(block, lineno)
-            times.extend(t_col)
-            ids.extend([intern(page, len(id_of)) for page in pages])
-            is_write.extend(w_col)
+            ids = array("i", [intern(page, len(id_of)) for page in pages])
+            yield t_col, ids, w_col, len(id_of)
             lineno += lines
     except UnicodeDecodeError as err:  # raised only by the reads
         where = f"line {lineno} or later:"
@@ -575,7 +606,6 @@ def read_trace_csv(fh: io.TextIOBase) -> Trace:
             lineno += bytes(err.object[:err.start]).count(b"\n")
             where = f"line {lineno} is"
         raise ValueError(f"{where} not UTF-8 ({err.reason})") from None
-    return Trace(times, ids, list(id_of), is_write)
 
 
 def _split_block(block: str, lines: int):
@@ -599,7 +629,7 @@ def _split_block(block: str, lines: int):
 
 def _parse_lines(block: str, lineno: int):
     """(times, pages, write flags) of a block, line by line; the first bad line raises."""
-    times, pages, flags = [], [], bytearray()
+    times, pages, flags = array("d"), [], bytearray()
     for lineno, line in enumerate(block.split("\n"), start=lineno):
         line = line.strip()
         if not line:

@@ -385,23 +385,108 @@ def _gen_trace(args, out) -> None:
 def _cmd_simulate(args):
     from . import bufferpool
 
+    chunks, close = _open_trace(args.trace)
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace = bufferpool.read_trace_csv(fh)
-    except OSError as err:
-        raise _CliDataError(f"cannot read trace file {args.trace}: {err.strerror}") from None
-    except ValueError as err:
-        raise _CliDataError(f"{args.trace}: {err}") from None
-    config = bufferpool.PoolConfig(
-        frames=args.frames,
-        base_policy=args.policy,
-        n_minute_s=args.n_seconds,
-        checkpoint_interval_s=args.checkpoint if args.checkpoint else None)
-    try:
-        report = bufferpool.simulate(trace, config)
-    except bufferpool.TraceOrderError as err:
-        raise _CliDataError(f"{args.trace}: {err}") from None
+        config = bufferpool.PoolConfig(
+            frames=args.frames,
+            base_policy=args.policy,
+            n_minute_s=args.n_seconds,
+            checkpoint_interval_s=args.checkpoint if args.checkpoint else None)
+        report = bufferpool.simulate(bufferpool.TraceChunks(chunks), config)
+    except ValueError as err:  # a ConfigError or TraceOrderError
+        for _ in chunks:  # a read error anywhere in the file comes first
+            pass
+        if isinstance(err, bufferpool.TraceOrderError):
+            raise _CliDataError(f"{args.trace}: {err}") from None
+        raise
+    finally:
+        close()
     return bufferpool.REPORT_HEADER, [report.row()], []
+
+
+def _open_trace(path: str):
+    """(chunks, close) for the trace file at path; a read error raises _CliDataError.
+
+    Where os.fork exists, a forked reader parses the file while this
+    process simulates the chunks it sends.  close reaps the reader.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as err:
+        raise _CliDataError(f"cannot read trace file {path}: {err.strerror}") from None
+    if not hasattr(os, "fork"):
+        return _read_chunks(fh, path), fh.close
+    import fcntl
+
+    r, w = os.pipe()
+    try:  # through a 64 KiB pipe the simulator would wait on the reader
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):  # not Linux, or past the user's pipe limit
+        pass
+    pid = os.fork()
+    if pid == 0:
+        _run_reader(fh, path, r, w)
+    os.close(w)
+    fh.close()
+    pipe = open(r, "rb")
+
+    def close():
+        pipe.close()  # a reader still writing gets EPIPE and exits
+        os.waitpid(pid, 0)
+    return _piped_chunks(pipe, path), close
+
+
+def _read_chunks(fh, path: str):
+    from . import bufferpool
+
+    try:
+        yield from bufferpool.read_trace_chunks(fh, {})
+    except OSError as err:
+        raise _CliDataError(f"cannot read trace file {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise _CliDataError(f"{path}: {err}") from None
+
+
+# The reader sends each chunk as two int64, (events, pages), then its
+# columns' bytes; its last frame, (-1, n), then n bytes of the read
+# error's message, none when it read the whole file.
+
+def _run_reader(fh, path: str, r: int, w: int) -> None:
+    """The forked reader: send the chunks through w, then exit, never returning."""
+    from array import array
+
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            message = b""
+            try:
+                for times, ids, is_write, pages in _read_chunks(fh, path):
+                    pipe.writelines((array("q", (len(times), pages)), times, ids, is_write))
+            except _CliDataError as err:
+                message = str(err).encode("utf-8", "surrogatepass")
+            pipe.writelines((array("q", (-1, len(message))), message))
+    finally:
+        os._exit(0)
+
+
+def _piped_chunks(pipe, path: str):
+    """The chunks the reader sends; the read error its last frame carries raises."""
+    from array import array
+
+    try:
+        while True:
+            head, times, ids = array("q"), array("d"), array("i")
+            head.fromfile(pipe, 2)
+            n, pages = head
+            if n < 0:  # the last frame; pages is its message's length
+                break
+            times.fromfile(pipe, n)
+            ids.fromfile(pipe, n)
+            yield times, ids, pipe.read(n), pages
+    except EOFError:  # the reader died before its last frame
+        raise _CliDataError(f"cannot read trace file {path}: its reader process died") from None
+    if pages:
+        raise _CliDataError(pipe.read(pages).decode("utf-8", "surrogatepass"))
 
 
 # --- parser ----------------------------------------------------------------

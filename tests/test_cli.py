@@ -6,11 +6,12 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from storage_rules import bufferpool, devices
+from storage_rules import bufferpool, cli, devices
 from storage_rules.cli import main
 
 
@@ -638,6 +639,145 @@ def test_simulate_config_errors_exit_2(tmp_path):
     assert main(["simulate", "--trace", str(trace_path)]) == 2  # --frames required
     assert run("simulate", "--trace", str(trace_path), "--frames", "2",
                "--n-seconds", "nan")[0] == 2
+
+
+# Where os.fork exists, simulate parses its trace in a forked reader;
+# without it, in process.  Both must give what the library gives.
+READERS = pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+
+
+def _use_reader(monkeypatch, forked):
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+
+
+@READERS
+def test_streamed_simulate_is_simulate_of_the_read_trace(tmp_path, monkeypatch, forked):
+    path = tmp_path / "t.csv"
+    assert run("gen-trace", "--seed", "3", "--ops", "30000", "--pages", "4096",
+               "--zipf-s", "0.8", "--write-fraction", "0.25", "--ops-per-second", "20",
+               "--out", str(path))[0] == 0
+    assert path.stat().st_size > 2 * bufferpool._READ_CHARS  # three blocks or more
+    with open(path, encoding="utf-8") as fh:
+        trace = bufferpool.read_trace_csv(fh)
+    _use_reader(monkeypatch, forked)
+    for policy in ("lru", "clock2"):
+        for n in ("0", "266.7", "2000"):
+            for cp in ("0", "1", "300"):
+                config = bufferpool.PoolConfig(64, policy, float(n), float(cp) or None)
+                assert run("simulate", "--trace", str(path), "--frames", "64",
+                           "--policy", policy, "--n-seconds", n, "--checkpoint", cp,
+                           "--format", "csv") == (0, bufferpool.simulate(trace, config).csv())
+
+
+@READERS
+@pytest.mark.parametrize("body", [
+    "",
+    # pages first met after two blocks: the per-page state grows between chunks
+    "".join(f"{k},{'AB'[k % 2]},r\n" for k in range(40_000))
+    + "".join(f"{40_000 + k},P{k % 700},{'rw'[k % 3 == 0]}\n" for k in range(5000)),
+], ids=["header-only", "pages-after-two-blocks"])
+def test_streamed_simulate_edge_traces(tmp_path, monkeypatch, forked, body):
+    assert not body or body.index(",P") > 2 * bufferpool._READ_CHARS
+    path = tmp_path / "t.csv"
+    path.write_text("time,page,op\n" + body, encoding="utf-8")
+    trace = bufferpool.read_trace_csv(io.StringIO("time,page,op\n" + body))
+    _use_reader(monkeypatch, forked)
+    for policy in ("lru", "clock2"):
+        config = bufferpool.PoolConfig(16, policy, 100.0, 30.0)
+        assert run("simulate", "--trace", str(path), "--frames", "16", "--policy", policy,
+                   "--n-seconds", "100", "--checkpoint", "30", "--format", "csv") == (
+            0, bufferpool.simulate(trace, config).csv())
+
+
+_LATE_READ_ERROR = "time,page,op\n5,A,r\n1,B,r\n" + "8,C,r\n" * 30_000 + "7,D\n"
+
+
+@READERS
+@pytest.mark.parametrize("text, frames, code, message", [
+    # an order error at line 3 and a malformed line 30004: the read error is reported
+    (_LATE_READ_ERROR, "2", 3, "{path}: line 30004: expected 3 fields, got 2"),
+    (_LATE_READ_ERROR, "0", 3, "{path}: line 30004: expected 3 fields, got 2"),
+    ("tim,page,op\n0,A,r\n", "0", 3,
+     "{path}: trace file must start with 'time,page,op', got 'tim,page,op'"),
+    ("time,page,op\n5,A,r\n1,B,r\n", "0", 2, "frames must be a positive integer, got 0"),
+    ("time,page,op\n5,A,r\n1,B,r\n", "2", 3, "{path}: trace is not time-ordered: 1.0 after 5.0"),
+], ids=["read-error-after-order-error", "read-error-then-config", "header-then-config",
+        "config-then-order-error", "order-error"])
+def test_simulate_read_errors_come_before_config_errors_before_order_errors(
+        tmp_path, capsys, monkeypatch, forked, text, frames, code, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    _use_reader(monkeypatch, forked)
+    assert run("simulate", "--trace", str(path), "--frames", frames) == (code, "")
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("text, out", [
+    ("time,page,op\n0,A,r\n1,B,w\n", None),
+    ("time,page,op\n0,A,r\n1,B\n", None),
+    ("time,page,op\n0,A,r\n1,B,w\n", _ClosedPipe()),
+], ids=["success", "read-error", "closed-stdout"])
+def test_simulate_reaps_its_reader(tmp_path, text, out):
+    # the autouse fixture in conftest.py fails a test that leaves a child behind
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["simulate", "--trace", str(path), "--frames", "1"]
+    if out is None:
+        assert main(argv, out=io.StringIO()) == (0 if text.endswith(",w\n") else 3)
+    else:
+        with pytest.raises(BrokenPipeError):
+            main(argv, out=out)
+
+
+def test_simulate_reports_a_reader_that_died(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("time,page,op\n0,A,r\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_run_reader", lambda *args: os._exit(1))  # dies before a frame
+    assert run("simulate", "--trace", str(path), "--frames", "1") == (3, "")
+    assert capsys.readouterr().err == (
+        f"error: cannot read trace file {path}: its reader process died\n")
+
+
+def _is_running(pid: str) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs Linux /proc")
+def test_reader_exits_when_simulate_is_killed(tmp_path):
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8") as fh:  # several pipefuls of chunks
+        bufferpool.write_trace_csv(bufferpool.generate_trace(1, 200_000, 4096, 0.8, 0.25, 20), fh)
+    proc = subprocess.Popen([sys.executable, "-m", "storage_rules.cli", "simulate", "--trace",
+                             str(path), "--frames", "64"], env=source_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children", encoding="utf-8") as fh:
+            while not (readers := fh.read().split()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                fh.seek(0)
+                time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait()
+    (reader,) = readers
+    deadline = time.monotonic() + 5
+    while _is_running(reader):  # its next write meets a closed pipe
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
 
 
 def test_simulate_skips_idle_checkpoint_boundaries(tmp_path):
